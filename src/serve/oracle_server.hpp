@@ -9,6 +9,12 @@
 // receives an explicit kOverloaded error frame instead of a stalled or
 // dropped connection; the socket stays healthy and the client can retry.
 //
+// Replies are pushed, not polled for: each admitted request carries a
+// service completion that encodes the reply on the worker and hands it to
+// a completion sink shared with the poll thread, waking it through a pipe
+// (one wake per burst). So poll() blocks until traffic, a completion or
+// shutdown arrives, and a reply leaves as soon as its worker finishes.
+//
 // Robustness rules (all tested in test_oracle_server):
 //   * Malformed bytes — bad magic, wrong version, oversized or corrupt
 //     frames — earn one kMalformedRequest error frame and a hard close of
@@ -19,6 +25,11 @@
 //     intact, only that one payload was bad).
 //   * Connections beyond `max_connections` are accepted and immediately
 //     closed (counted, never serviced).
+//   * Each connection is bounded: it is not read while its unsent replies
+//     exceed a fixed high-water mark (backpressure reaches the client's TCP
+//     window), and it decodes a bounded number of frames per loop turn, so
+//     a client that pipelines without reading stalls neither other clients
+//     nor shutdown.
 //   * shutdown() drains gracefully: the listen socket closes first (new
 //     connections refused), every request already admitted to the service
 //     is answered and flushed, then connections close. A drain deadline
@@ -27,9 +38,10 @@
 // Observability: WireServerStats counts connections (accepted / refused /
 // closed), frames and bytes in both directions, admitted vs shed requests
 // and decode errors, and per-query-type wire latency histograms measured
-// from frame decode to response enqueue — i.e. including the service queue
-// wait, which is exactly the number a remote caller experiences on top of
-// raw evaluation (OracleStatsView has the service-side view).
+// from frame decode (before admission) to response enqueue — i.e.
+// including admission, the service queue wait and the completion wakeup,
+// which is exactly the number a remote caller experiences on top of raw
+// evaluation (OracleStatsView has the service-side view).
 #pragma once
 
 #include <array>
@@ -66,7 +78,8 @@ struct WireServerStats {
 };
 
 /// TCP front for one OracleService. The service (and its index/snapshot)
-/// must outlive the server.
+/// must outlive the server; requests it still owes when the server is
+/// destroyed may complete later, which is safe.
 class OracleServer {
  public:
   struct Config {

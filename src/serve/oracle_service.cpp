@@ -211,9 +211,9 @@ void OracleService::serve_one(Pending& pending) {
   const QueryType type = query_type(pending.request);
   TypeCounters& counters = counters_[static_cast<int>(type)];
   TypeCounters& study_counters = *study_counters_[pending.study_ordinal];
+  Outcome outcome;
   try {
-    OracleResponse response =
-        std::visit(Evaluator{pending.index}, pending.request);
+    outcome = std::visit(Evaluator{pending.index}, pending.request);
     const auto done = std::chrono::steady_clock::now();
     const auto nanos = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(done -
@@ -223,10 +223,10 @@ void OracleService::serve_one(Pending& pending) {
     counters.served.fetch_add(1, std::memory_order_relaxed);
     study_counters.latency.record(nanos);
     study_counters.served.fetch_add(1, std::memory_order_relaxed);
-    pending.promise.set_value(std::move(response));
   } catch (...) {
-    pending.promise.set_exception(std::current_exception());
+    outcome = std::current_exception();
   }
+  pending.done(std::move(outcome));
   if (config_.cache_rebalance_every > 0 && catalog_ != nullptr) {
     const std::uint64_t served =
         served_total_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -255,34 +255,50 @@ OracleService::Submitted OracleService::submit(OracleRequest request) {
 
 OracleService::Submitted OracleService::submit(OracleRequest request,
                                                std::string_view study) {
+  // std::function needs a copyable callable, hence the shared promise.
+  auto promise = std::make_shared<std::promise<OracleResponse>>();
+  Submitted submitted;
+  submitted.reject =
+      submit(std::move(request), study, [promise](Outcome outcome) {
+        if (auto* error = std::get_if<std::exception_ptr>(&outcome))
+          promise->set_exception(*error);
+        else
+          promise->set_value(std::move(std::get<OracleResponse>(outcome)));
+      });
+  submitted.accepted = submitted.reject == Reject::kNone;
+  if (submitted.accepted) submitted.response = promise->get_future();
+  return submitted;
+}
+
+OracleService::Reject OracleService::submit(OracleRequest request,
+                                            std::string_view study,
+                                            Completion done) {
+  IRP_CHECK(static_cast<bool>(done), "submit() requires a completion");
   Pending pending;
   pending.request = std::move(request);
   pending.index = resolve(study, &pending.study_ordinal);
   if (pending.index == nullptr) {
     unknown_study_.fetch_add(1, std::memory_order_relaxed);
-    Submitted shed;
-    shed.reject = Reject::kUnknownStudy;
-    return shed;
+    return Reject::kUnknownStudy;
   }
+  pending.done = std::move(done);
   pending.enqueued = std::chrono::steady_clock::now();
-  std::future<OracleResponse> future = pending.promise.get_future();
   const QueryType type = query_type(pending.request);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_ || queue_.size() >= config_.queue_capacity) {
+      // Overload: shed rather than grow or stall.
       counters_[static_cast<int>(type)].rejected.fetch_add(
           1, std::memory_order_relaxed);
       study_counters_[pending.study_ordinal]->rejected.fetch_add(
           1, std::memory_order_relaxed);
-      Submitted shed;  // Overload: shed rather than grow or stall.
-      shed.reject = Reject::kOverloaded;
-      return shed;
+      return Reject::kOverloaded;
     }
     queue_.push_back(std::move(pending));
     peak_queue_depth_ = std::max(peak_queue_depth_, queue_.size());
   }
   cv_.notify_one();
-  return Submitted{true, std::move(future), Reject::kNone};
+  return Reject::kNone;
 }
 
 std::size_t OracleService::drain(std::size_t max_requests) {

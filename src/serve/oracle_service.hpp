@@ -11,9 +11,16 @@
 // are always answered, including during shutdown (workers drain the queue
 // before exiting).
 //
+// Every accepted request ends in exactly one call of its Completion, on the
+// thread that served it, with the response or the exception evaluation
+// threw. That is the one delivery path: the future-returning submit()
+// overloads are thin adapters that complete a promise, and the wire server
+// passes a completion that encodes the reply and wakes its poll thread, so
+// no caller ever has to poll for results.
+//
 // Two execution modes:
-//   * worker_threads >= 1 — background workers pop the queue and fulfil the
-//     response futures; clients pipeline as deep as the queue allows.
+//   * worker_threads >= 1 — background workers pop the queue and run the
+//     completions; clients pipeline as deep as the queue allows.
 //   * worker_threads == 0 — deterministic single-thread mode: nothing runs
 //     until the owner calls drain(), which serves queued requests in FIFO
 //     order on the calling thread. test_oracle_determinism proves the two
@@ -35,6 +42,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <future>
 #include <limits>
 #include <mutex>
@@ -209,8 +218,26 @@ class OracleService {
     kUnknownStudy,   ///< Study id matches nothing hosted; not retryable.
   };
 
-  /// Admission result: `accepted == false` means the request was shed
-  /// (`reject` says why); the future is only valid when accepted.
+  /// What a served request produced: its response, or the exception its
+  /// evaluation threw.
+  using Outcome = std::variant<OracleResponse, std::exception_ptr>;
+
+  /// Runs exactly once per accepted request, on the thread that served it
+  /// (a worker, or the caller of drain()/shutdown()). It must not throw, and
+  /// must not reference anything that may be destroyed before the request
+  /// is served — capture shared ownership instead.
+  using Completion = std::function<void(Outcome)>;
+
+  /// Enqueues a query against study `study` ("" = default); never blocks.
+  /// Returns Reject::kNone when accepted — `done` then runs exactly once —
+  /// and otherwise the reason it was shed, in which case `done` never runs.
+  /// An id the service does not host rejects with Reject::kUnknownStudy.
+  Reject submit(OracleRequest request, std::string_view study,
+                Completion done);
+
+  /// Admission result of the future-returning adapters: `accepted == false`
+  /// means the request was shed (`reject` says why); the future is only
+  /// valid when accepted.
   struct Submitted {
     bool accepted = false;
     std::future<OracleResponse> response;
@@ -220,8 +247,7 @@ class OracleService {
   /// Enqueues a query against the default study; never blocks.
   Submitted submit(OracleRequest request);
 
-  /// Enqueues a query against study `study` ("" = default); never blocks.
-  /// An id the service does not host rejects with Reject::kUnknownStudy.
+  /// Future-returning form of the completion submit() above.
   Submitted submit(OracleRequest request, std::string_view study);
 
   /// Evaluates a query synchronously on the calling thread (bypasses the
@@ -253,7 +279,7 @@ class OracleService {
     /// Resolved at submit time, so workers never re-run study lookup.
     const OracleIndex* index = nullptr;
     std::uint32_t study_ordinal = 0;
-    std::promise<OracleResponse> promise;
+    Completion done;
     std::chrono::steady_clock::time_point enqueued;
   };
 

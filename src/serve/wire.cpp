@@ -313,11 +313,12 @@ std::string encode_frame(const WireFrame& frame) {
   return out;
 }
 
-std::optional<WireFrame> try_decode_frame(std::string& buffer,
-                                          std::size_t max_payload) {
+std::optional<WireFrame> try_decode_frame_at(std::string_view buffer,
+                                             std::size_t& offset,
+                                             std::size_t max_payload) {
+  buffer.remove_prefix(offset);
   if (buffer.size() < kWireHeaderBytes) return std::nullopt;
-  ByteReader header{std::string_view(buffer).substr(0, kWireHeaderBytes),
-                    std::string(kContext)};
+  ByteReader header{buffer.substr(0, kWireHeaderBytes), std::string(kContext)};
   const std::uint32_t magic = header.u32();
   if (magic != kWireMagic)
     fail(WireFault::kBadMagic, "stream does not start with IRPW");
@@ -349,10 +350,10 @@ std::optional<WireFrame> try_decode_frame(std::string& buffer,
   WireFrame frame;
   frame.type = static_cast<FrameType>(raw_type);
   frame.request_id = request_id;
-  frame.payload = buffer.substr(kWireHeaderBytes, payload_size);
+  frame.payload = std::string(buffer.substr(kWireHeaderBytes, payload_size));
   if (fnv1a64(frame.payload) != checksum)
     fail(WireFault::kChecksumMismatch, "payload corrupted in transit");
-  buffer.erase(0, kWireHeaderBytes + payload_size);
+  offset += kWireHeaderBytes + payload_size;
   if ((flags & kWireFlagStudy) != 0) {
     // Peel the study-id prefix off the (checksum-verified) payload. A prefix
     // that does not parse is a framing-level fault: the peer claimed the
@@ -368,6 +369,20 @@ std::optional<WireFrame> try_decode_frame(std::string& buffer,
     }
   }
   return frame;
+}
+
+std::optional<WireFrame> try_decode_frame(std::string& buffer,
+                                          std::size_t max_payload) {
+  std::size_t offset = 0;
+  try {
+    std::optional<WireFrame> frame =
+        try_decode_frame_at(buffer, offset, max_payload);
+    buffer.erase(0, offset);
+    return frame;
+  } catch (const WireDecodeError&) {
+    buffer.erase(0, offset);  // Consumes a frame whose study prefix failed.
+    throw;
+  }
 }
 
 std::string encode_request(std::uint64_t request_id,

@@ -150,11 +150,21 @@ struct WireError {
 /// payload (the checksum and payload_size cover the prefix).
 std::string encode_frame(const WireFrame& frame);
 
-/// Incremental stream decoder: returns nullopt when `buffer` does not yet
-/// hold a complete frame (read more bytes and call again); on success the
-/// frame's bytes are consumed from the front of `buffer`. Throws
-/// WireDecodeError the moment the buffered bytes are provably not a valid
-/// frame — from the header alone where possible.
+/// Incremental stream decoder over `buffer` starting at `offset`: returns
+/// nullopt when the bytes from `offset` on do not yet hold a complete frame
+/// (read more bytes and call again); on success `offset` advances past the
+/// frame. Throws WireDecodeError the moment the buffered bytes are provably
+/// not a valid frame — from the header alone where possible; a frame whose
+/// checksum passed but whose study-id prefix does not decode is consumed
+/// (`offset` advanced) before the throw. A reader that decodes a pipelined
+/// burst this way and compacts its buffer once per read pays time linear
+/// in the bytes received.
+std::optional<WireFrame> try_decode_frame_at(
+    std::string_view buffer, std::size_t& offset,
+    std::size_t max_payload = kMaxWirePayload);
+
+/// try_decode_frame_at() from the front of `buffer`; on success the frame's
+/// bytes are erased from the front of `buffer`.
 std::optional<WireFrame> try_decode_frame(
     std::string& buffer, std::size_t max_payload = kMaxWirePayload);
 

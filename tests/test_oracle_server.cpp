@@ -11,7 +11,9 @@
 // garbage bytes poison exactly one connection; a malformed payload inside a
 // well-framed request keeps the connection alive; client timeouts, refused
 // connects, connection caps, and graceful shutdown all surface as their
-// documented error kinds.
+// documented error kinds. A client that floods without reading is throttled
+// while others are still served, and completions that run after their
+// server is gone stay safe.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -198,6 +200,33 @@ TEST(OracleServerE2E, RemoteAnswersAreByteIdenticalToLocalSerial) {
     }
   }
   EXPECT_EQ(answered, f.queries.size());
+
+  server.shutdown();
+  service.shutdown();
+}
+
+TEST(OracleServerE2E, WireLatencyQuantilesBoundServiceQuantiles) {
+  const ServerFixture& f = fixture();
+  OracleService service(f.index.get(), OracleService::Config{2, 1024});
+  OracleServer server(&service);
+  server.start();
+  OracleClient::Config cc;
+  cc.port = server.port();
+  OracleClient client(cc);
+  for (const OracleRequest& request : f.queries) (void)client.call(request);
+
+  // Each request's wire interval (frame decode -> reply queued) contains
+  // its service interval (enqueue -> evaluated), and the histogram buckets
+  // are monotone, so every wire quantile bounds the service one exactly.
+  const WireServerStats wire = server.stats();
+  const OracleStatsView local = service.stats();
+  for (int t = 0; t < kNumQueryTypes; ++t) {
+    EXPECT_EQ(wire.per_type[t].answered, local.per_type[t].served);
+    EXPECT_GE(wire.per_type[t].p50_us, local.per_type[t].p50_us)
+        << "type " << t;
+    EXPECT_GE(wire.per_type[t].p99_us, local.per_type[t].p99_us)
+        << "type " << t;
+  }
 
   server.shutdown();
   service.shutdown();
@@ -452,6 +481,133 @@ TEST(OracleServerE2E, ShutdownDrainsThenRefusesNewConnections) {
   }
 
   server.reset();  // Destructor after explicit shutdown is a no-op.
+  service.shutdown();
+}
+
+// -- Per-connection bounds: a flooding client is throttled, not served at
+// everyone else's expense.
+
+ClassifyRequest first_classify(const ServerFixture& f) {
+  for (const OracleRequest& q : f.queries)
+    if (std::holds_alternative<ClassifyRequest>(q))
+      return std::get<ClassifyRequest>(q);
+  ADD_FAILURE() << "fixture holds no classify query";
+  return {};
+}
+
+TEST(OracleServerE2E, FloodingClientIsThrottledWithoutStallingOthers) {
+  const ServerFixture& f = fixture();
+  OracleService service(f.index.get(), OracleService::Config{2, 1024});
+  OracleServer::Config sc;
+  sc.drain_timeout_ms = 300;
+  OracleServer server(&service, sc);
+  server.start();
+
+  // Batches of 80k pipelined classify frames (~7.6 MB each), sent until
+  // the server closes the connection, from a client that never reads. Its
+  // replies fill the kernel's socket buffers, then back up in the server,
+  // which must then stop reading this connection.
+  constexpr int kFloodFrames = 80000;
+  const std::string frame =
+      encode_request(1, OracleRequest{first_classify(f)});
+  std::string flood;
+  flood.reserve(frame.size() * kFloodFrames);
+  for (int i = 0; i < kFloodFrames; ++i) flood += frame;
+
+  const int flooder = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(flooder, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(flooder, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  std::thread sender([&] {
+    // Blocks once the server stops reading; ends when the server closes
+    // the connection at shutdown.
+    for (;;) {
+      for (std::size_t sent = 0; sent < flood.size();) {
+        const ssize_t n = ::send(flooder, flood.data() + sent,
+                                 flood.size() - sent, MSG_NOSIGNAL);
+        if (n <= 0) return;
+        sent += static_cast<std::size_t>(n);
+      }
+    }
+  });
+
+  // Throttled: bytes_in settles while the flood is still being offered.
+  std::uint64_t settled = 0;
+  int stable_samples = 0;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (stable_samples < 5 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const std::uint64_t now_in = server.stats().bytes_in;
+    stable_samples = now_in > 0 && now_in == settled ? stable_samples + 1 : 0;
+    settled = now_in;
+  }
+  ASSERT_EQ(stable_samples, 5) << "bytes_in never stopped growing";
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(server.stats().bytes_in, settled);
+
+  // A second client is served promptly (13.1 s before reads were bounded).
+  OracleClient::Config cc;
+  cc.port = server.port();
+  OracleClient client(cc);
+  const auto asked = std::chrono::steady_clock::now();
+  EXPECT_EQ(to_text(client.call(f.queries[0])),
+            to_text(service.answer(f.queries[0])));
+  EXPECT_LT(std::chrono::steady_clock::now() - asked,
+            std::chrono::milliseconds(1000));
+
+  // The flooder cannot hold shutdown past the drain deadline (plus slack
+  // for scheduling on a loaded host).
+  const auto stop = std::chrono::steady_clock::now();
+  server.shutdown();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop,
+            std::chrono::milliseconds(sc.drain_timeout_ms + 500));
+  sender.join();
+  ::close(flooder);
+  service.shutdown();
+}
+
+// -- Lifetime: completions may run after the server that issued them is
+// gone (run under IRP_SANITIZE=address and =thread).
+
+TEST(OracleServerE2E, CompletionsRunSafelyAfterServerIsDestroyed) {
+  const ServerFixture& f = fixture();
+  OracleService service(f.index.get(), OracleService::Config{0, 64});
+  OracleServer::Config sc;
+  sc.drain_timeout_ms = 20;
+  auto server = std::make_unique<OracleServer>(&service, sc);
+  server->start();
+
+  const int fd = connect_loopback(server->port());
+  ASSERT_GE(fd, 0);
+  constexpr std::uint64_t kRequests = 8;
+  std::string burst;
+  for (std::uint64_t id = 1; id <= kRequests; ++id)
+    burst += encode_request(id, f.queries[id % f.queries.size()]);
+  send_bytes(fd, burst);
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server->stats().requests_admitted < kRequests &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(server->stats().requests_admitted, kRequests);
+
+  // No worker serves them, so the drain deadline closes the connection
+  // with every request still owed.
+  server->shutdown();
+  EXPECT_EQ(server->stats().frames_out, 0u);
+  EXPECT_EQ(server->stats().connections_closed, 1u);
+  EXPECT_TRUE(reaches_eof(fd));
+  server.reset();
+
+  // Serving them now runs each completion against the orphaned sink.
+  EXPECT_EQ(service.drain(), kRequests);
+  EXPECT_EQ(service.stats().served, kRequests);
+  ::close(fd);
   service.shutdown();
 }
 
