@@ -47,9 +47,9 @@ int main() {
                   round);
       break;
     }
+    const AsPath path = engine.paths().materialize(sel->path_id);
     std::printf("round %d: via AS%-5u  path [%s]  len %zu\n", round,
-                sel->next_hop, sel->path.to_string().c_str(),
-                sel->path.length());
+                sel->next_hop, path.to_string().c_str(), path.length());
     poison.push_back(sel->next_hop);
     AnnounceOptions options;
     options.poison_set = poison;
@@ -66,17 +66,20 @@ int main() {
   engine.announce(prefix, testbed, std::move(magnet));
   engine.run();
 
-  const auto* before = engine.best(target, prefix);
+  // Renders a selected route's path for printing ("(none)" when unrouted).
+  auto path_text = [&](const BgpEngine::Selected* sel) -> std::string {
+    if (sel == nullptr) return "(none)";
+    return engine.paths().materialize(sel->path_id).to_string();
+  };
   std::printf("magnet-only route at AS%u: %s\n", target,
-              before == nullptr ? "(none)"
-                                : before->path.to_string().c_str());
+              path_text(engine.best(target, prefix)).c_str());
 
   engine.announce(prefix, testbed);  // Anycast from every site.
   engine.run();
   const auto* after = engine.best(target, prefix);
   const auto routes = engine.routes_at(target, prefix);
   std::printf("after anycast: chose %s among %zu candidate routes\n",
-              after == nullptr ? "(none)" : after->path.to_string().c_str(),
+              path_text(after).c_str(),
               routes.size());
 
   // ---- 3. The full campaign ----------------------------------------------

@@ -175,8 +175,7 @@ void BgpEngine::process(PrefixState& st, Asn asn) {
   ++selections_;
 
   // Run the decision process without materializing anything: the winner is
-  // described by (path id, attributes); only a *changed* selection pays for
-  // an AsPath materialization below.
+  // described by (path id, attributes).
   bool have = false;
   PathId next_path = kEmptyPathId;
   LinkId next_via = kInvalidLink;
@@ -220,12 +219,9 @@ void BgpEngine::process(PrefixState& st, Asn asn) {
   if (!changed && !pa.force_export) return;
   pa.force_export = false;
   if (have) {
-    // Update in place, reusing the previous Selected's vector capacities;
-    // the materialized path is refreshed lazily on the next best() access.
     if (!pa.selected.has_value()) pa.selected.emplace();
     Selected& s = *pa.selected;
     s.path_id = next_path;
-    s.path_cached = false;
     s.via_link = next_via;
     s.next_hop = next_hop;
     s.age = next_age;
@@ -359,16 +355,8 @@ const BgpEngine::Selected* BgpEngine::best(Asn asn,
                                            const Ipv4Prefix& prefix) const {
   const PrefixState* st = find_state(prefix);
   if (st == nullptr) return nullptr;
-  auto& sel = const_cast<PrefixState*>(st)->per_as[asn - 1].selected;
-  if (!sel.has_value()) return nullptr;
-  if (!sel->path_cached) {
-    // Lazy materialization cache refresh; logically const. Not safe for
-    // concurrent first access, but engines are never shared across threads
-    // (build_corpus gives each job a private engine).
-    table_.materialize_into(sel->path_id, sel->path);
-    sel->path_cached = true;
-  }
-  return &*sel;
+  const auto& sel = st->per_as[asn - 1].selected;
+  return sel.has_value() ? &*sel : nullptr;
 }
 
 std::vector<Route> BgpEngine::routes_at(Asn asn,

@@ -116,14 +116,11 @@ class BgpEngine {
 
   /// The route an AS selected for a prefix.
   struct Selected {
-    /// Path toward the origin, *excluding* this AS (empty at the origin).
-    /// `path_id` is the interned handle in the owning engine's path table;
-    /// `path` is materialized from it lazily on the first best() access
-    /// (`path_cached` tracks freshness), so convergence itself never
-    /// allocates hop vectors.
-    AsPath path;
+    /// Path toward the origin, *excluding* this AS (empty at the origin),
+    /// as an interned handle into paths(). Read hops and length from there
+    /// (paths().materialize(path_id), paths().length(path_id)); the engine
+    /// never allocates hop vectors for a selection.
     PathId path_id = kEmptyPathId;
-    bool path_cached = true;
     LinkId via_link = kInvalidLink;
     Asn next_hop = 0;           ///< 0 when self-originated.
     LogicalTime age = 0;        ///< Arrival time of the selected route.
@@ -134,15 +131,52 @@ class BgpEngine {
     std::optional<Relationship> effective_class;
   };
 
-  /// Best route of `asn` toward `prefix`; nullptr if none.
+  /// Best route of `asn` toward `prefix`; nullptr if none. A pure read:
+  /// any number of threads may call it (and forward_next_hop) on an engine
+  /// that is not being mutated.
   const Selected* best(Asn asn, const Ipv4Prefix& prefix) const;
 
   /// All accepted Adj-RIB-In routes of `asn` for `prefix` (at most one per
   /// link), in link order. Used by the reverse-engineering analyses.
   /// NOTE: this *materializes a copy* — each Route carries a freshly
   /// allocated AsPath — so hoist the call out of loops; the engine's own hot
-  /// path never uses it.
+  /// path and bulk exporters (visit_routes) never use it.
   std::vector<Route> routes_at(Asn asn, const Ipv4Prefix& prefix) const;
+
+  /// An accepted Adj-RIB-In entry, as visit_routes() exposes it. Everything
+  /// the decision process compares is cached here at delivery time (it
+  /// depends only on the receiving AS, the link, and the path — all fixed
+  /// per entry), so selection touches no policy/topology code and allocates
+  /// nothing.
+  struct RibRoute {
+    PathId path = kEmptyPathId;  ///< Into paths().
+    LinkId via_link = 0;
+    Asn from_asn = 0;
+    LogicalTime received_at = 0;
+    int local_pref = 0;  ///< Import local-pref at the receiving AS.
+    int igp_cost = 0;    ///< IGP cost from the receiver's backbone.
+    /// Organizational route class as received (carried across siblings).
+    std::optional<Relationship> org_class;
+    /// Class governing selection/export at the receiving AS.
+    std::optional<Relationship> effective_class;
+  };
+
+  /// Read-only walk of one prefix's routing state for bulk exporters that
+  /// work on interned ids (the oracle snapshot builder): calls
+  /// `fn(asn, selected, rib_in)` for every AS holding a selected route, in
+  /// ascending ASN order, where `rib_in` is a std::span<const RibRoute> in
+  /// link order. The prefix is looked up once; nothing is materialized.
+  template <typename Fn>
+  void visit_routes(const Ipv4Prefix& prefix, Fn&& fn) const {
+    const PrefixState* st = find_state(prefix);
+    if (st == nullptr) return;
+    for (std::size_t i = 0; i < st->per_as.size(); ++i) {
+      const PerAs& pa = st->per_as[i];
+      if (pa.selected.has_value())
+        fn(static_cast<Asn>(i + 1), *pa.selected,
+           std::span<const RibRoute>(pa.rib_in));
+    }
+  }
 
   /// Data-plane next hop of `asn` for `prefix`; nullopt when unrouted or
   /// self-originated.
@@ -161,7 +195,8 @@ class BgpEngine {
   bool converged() const { return converged_; }
   const Topology& topology() const { return *topo_; }
 
-  /// Interned-path storage; ids in Selected::path_id index into it.
+  /// Interned-path storage; Selected::path_id and RibRoute::path index
+  /// into it.
   const PathTable& paths() const { return table_; }
 
   /// Instrumentation snapshot (merges engine and path-table counters).
@@ -172,23 +207,6 @@ class BgpEngine {
   /// (No real advertisement can be the empty path either — export always
   /// prepends the sender — but an explicit sentinel keeps intent obvious.)
   static constexpr PathId kNotSent = 0xFFFFFFFFu;
-
-  /// An accepted Adj-RIB-In entry. Everything the decision process compares
-  /// is cached here at delivery time (it depends only on the receiving AS,
-  /// the link, and the path — all fixed per entry), so select() touches no
-  /// policy/topology code and allocates nothing.
-  struct RibRoute {
-    PathId path = kEmptyPathId;
-    LinkId via_link = 0;
-    Asn from_asn = 0;
-    LogicalTime received_at = 0;
-    int local_pref = 0;  ///< Import local-pref at the receiving AS.
-    int igp_cost = 0;    ///< IGP cost from the receiver's backbone.
-    /// Organizational route class as received (carried across siblings).
-    std::optional<Relationship> org_class;
-    /// Class governing selection/export at the receiving AS.
-    std::optional<Relationship> effective_class;
-  };
 
   struct PerAs {
     /// Accepted routes, at most one per adjacent link.

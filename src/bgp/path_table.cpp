@@ -92,7 +92,29 @@ void PathTable::append_hops(PathId id, std::vector<Asn>& out) const {
 
 AsPath PathTable::materialize(PathId id) const {
   AsPath out;
-  materialize_into(id, out);
+  append_hops(id, out.hops);
+  out.poison_set = poison_set(id);
+  return out;
+}
+
+PathId PathTable::import(const PathTable& src, PathId id,
+                         std::vector<PathId>& memo) {
+  constexpr PathId kUnseen = 0xFFFFFFFFu;
+  if (memo.size() < src.num_paths()) memo.resize(src.num_paths(), kUnseen);
+  // Climb toward the root until a node this table already holds.
+  import_chain_.clear();
+  PathId cur = id;
+  while (memo[cur] == kUnseen && src.nodes_[cur].num_hops > 0) {
+    import_chain_.push_back(cur);
+    cur = src.nodes_[cur].tail;
+  }
+  if (memo[cur] == kUnseen) memo[cur] = root(src.poison_set(cur));
+  // Prepend back down the chain, origin end first, as intern() would.
+  PathId out = memo[cur];
+  for (auto it = import_chain_.rbegin(); it != import_chain_.rend(); ++it) {
+    out = prepend(out, src.nodes_[*it].head);
+    memo[*it] = out;
+  }
   return out;
 }
 
@@ -159,13 +181,6 @@ PathTable PathTable::from_flat(std::span<const FlatNode> nodes,
   table.stats_.nodes = table.nodes_.size();
   table.stats_.poison_sets = table.poison_sets_.size() - 1;
   return table;
-}
-
-void PathTable::materialize_into(PathId id, AsPath& out) const {
-  out.hops.clear();
-  out.hops.reserve(num_hops(id));
-  for_each_hop(id, [&](Asn asn) { out.hops.push_back(asn); });
-  out.poison_set = poison_set(id);
 }
 
 }  // namespace irp

@@ -112,8 +112,15 @@ class PathTable {
   /// Materializes the full AsPath value (one hop-vector allocation).
   AsPath materialize(PathId id) const;
 
-  /// Materializes into an existing AsPath, reusing its vector capacities.
-  void materialize_into(PathId id, AsPath& out) const;
+  /// Copies path `id` of another table into this one and returns its id
+  /// here: the one routine for moving paths between tables. `memo` maps
+  /// `src` ids already imported into this table (grown on demand to
+  /// src.num_paths(); pass the same vector for every id of one `src`). The
+  /// walk stops at the first memoized node, so importing a whole table costs
+  /// one step per source node, and nodes are created in exactly the order
+  /// `intern(src.materialize(id))` would create them: importing a sequence
+  /// of ids yields the same ids and node layout as interning their values.
+  PathId import(const PathTable& src, PathId id, std::vector<PathId>& memo);
 
   std::size_t num_paths() const { return nodes_.size(); }
   const Stats& stats() const { return stats_; }
@@ -165,6 +172,8 @@ class PathTable {
   std::unordered_map<std::uint64_t, PathId> intern_;
   std::map<std::vector<Asn>, PathId> roots_;  ///< poison set -> root node.
   Stats stats_;
+  /// import() scratch: source ids awaiting a prepend, most recent hop first.
+  std::vector<PathId> import_chain_;
 };
 
 }  // namespace irp

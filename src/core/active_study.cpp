@@ -194,7 +194,7 @@ AlternateRouteReport ActiveExperiment::discover_alternate_routes() {
       // carry its ASN anyway); a target adjacent to the testbed has
       // exhausted its alternatives at this point.
       if (sel->next_hop == testbed) break;
-      sequence.push_back({sel->next_hop, sel->path.length()});
+      sequence.push_back({sel->next_hop, engine.paths().length(sel->path_id)});
       poison.push_back(sel->next_hop);
       AnnounceOptions options;
       options.poison_set = poison;
@@ -281,11 +281,13 @@ Table2Report ActiveExperiment::magnet_experiment() {
     engine.announce(prefix, testbed, std::move(magnet_opts));
     engine.run();
 
-    std::map<Asn, AsPath> before;
+    // Interned ids stay valid (and value-comparable) for the engine's
+    // lifetime, so the magnet routes are kept as ids.
+    std::map<Asn, PathId> before;
     net_->topology.for_each_as([&](const AsNode& node) {
       const auto* sel = engine.best(node.asn, prefix);
       if (sel != nullptr && !sel->self_originated)
-        before[node.asn] = sel->path;
+        before[node.asn] = sel->path_id;
     });
     std::set<Asn> traceroute_ases;
     for (Asn v : vantages_)
@@ -307,15 +309,15 @@ Table2Report ActiveExperiment::magnet_experiment() {
       const auto routes = engine.routes_at(x, prefix);
       if (routes.size() < 2) return;  // No decision to explain.
 
-      const bool kept = sel->path == it->second;
+      const bool kept = sel->path_id == it->second;
       if (!kept) {
         // If the magnet route vanished from x's Adj-RIB-In, a downstream AS
         // made the interesting decision; skip x (the downstream AS is
         // analyzed on its own).
+        const AsPath magnet = engine.paths().materialize(it->second);
         const bool magnet_still_offered =
-            std::any_of(routes.begin(), routes.end(), [&](const Route& r) {
-              return r.path == it->second;
-            });
+            std::any_of(routes.begin(), routes.end(),
+                        [&](const Route& r) { return r.path == magnet; });
         if (!magnet_still_offered) return;
       }
 
@@ -324,7 +326,8 @@ Table2Report ActiveExperiment::magnet_experiment() {
         if (r.via_link != sel->via_link) alternatives.push_back(r);
       if (alternatives.empty()) return;
 
-      switch (infer_trigger(*inferred_, x, sel->next_hop, sel->path.length(),
+      switch (infer_trigger(*inferred_, x, sel->next_hop,
+                            engine.paths().length(sel->path_id),
                             alternatives, kept, siblings_)) {
         case DecisionTrigger::kBestRelationship: ++counts.best_relationship; break;
         case DecisionTrigger::kShorterPath:      ++counts.shorter_path; break;

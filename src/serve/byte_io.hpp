@@ -54,6 +54,7 @@ class ByteWriter {
     u32(static_cast<std::uint32_t>(s.size()));
     buf_.append(s.data(), s.size());
   }
+  void reserve(std::size_t n) { buf_.reserve(n); }
   std::string take() { return std::move(buf_); }
 
  private:
@@ -62,6 +63,22 @@ class ByteWriter {
     buf_.append(c, n);  // Little-endian hosts only, like the rest of irp.
   }
   std::string buf_;
+};
+
+/// The part of ByteWriter's interface the snapshot encoder uses, counting
+/// bytes instead of storing them. Running an encoder templated on its output
+/// once through a ByteCounter sizes the real ByteWriter exactly, without a
+/// second hand-kept size formula.
+class ByteCounter {
+ public:
+  void u8(std::uint8_t) { size_ += 1; }
+  void u32(std::uint32_t) { size_ += 4; }
+  void prefix(const Ipv4Prefix&) { size_ += 5; }
+  void asns(const std::vector<Asn>& v) { size_ += 4 + v.size() * sizeof(Asn); }
+  std::size_t size() const { return size_; }
+
+ private:
+  std::size_t size_ = 0;
 };
 
 /// Bounds-checked little-endian cursor; every overrun throws CheckError.

@@ -1,6 +1,8 @@
 #include "serve/oracle_snapshot.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <span>
 
 #include "core/passive_study.hpp"
 #include "serve/byte_io.hpp"
@@ -11,7 +13,90 @@ namespace irp {
 namespace {
 
 constexpr std::size_t kHeaderBytes = 24;  // magic + version + size + checksum.
+constexpr std::size_t kChecksumOffset = 16;  // After magic, version, size.
 constexpr std::string_view kContext = "oracle snapshot";
+
+/// Writes the payload (everything after the header) to `w`: a ByteWriter,
+/// or a ByteCounter for the sizing pass.
+template <typename Out>
+void encode_payload(const OracleSnapshot& snap, Out& w) {
+  w.u32(snap.num_ases);
+
+  w.u32(static_cast<std::uint32_t>(snap.relationships.size()));
+  for (const auto& r : snap.relationships) {
+    w.u32(r.a);
+    w.u32(r.b);
+    w.u8(r.rel);
+  }
+
+  w.u32(static_cast<std::uint32_t>(snap.sibling_groups.size()));
+  for (const auto& group : snap.sibling_groups) w.asns(group);
+
+  w.u32(static_cast<std::uint32_t>(snap.hybrid_entries.size()));
+  for (const auto& h : snap.hybrid_entries) {
+    w.u32(h.a);
+    w.u32(h.b);
+    w.u32(h.city);
+    w.u8(h.rel);
+  }
+  w.u32(static_cast<std::uint32_t>(snap.partial_transit.size()));
+  for (const auto& [provider, customer] : snap.partial_transit) {
+    w.u32(provider);
+    w.u32(customer);
+  }
+
+  w.u32(static_cast<std::uint32_t>(snap.observations.size()));
+  for (const auto& block : snap.observations) {
+    w.prefix(block.prefix);
+    w.u32(static_cast<std::uint32_t>(block.pairs.size()));
+    for (const auto& [origin, neighbor] : block.pairs) {
+      w.u32(origin);
+      w.u32(neighbor);
+    }
+  }
+
+  w.u32(static_cast<std::uint32_t>(snap.paths.num_paths()));
+  for (PathId id = 0; id < snap.paths.num_paths(); ++id) {
+    const PathTable::FlatNode n = snap.paths.flat_node(id);
+    w.u32(n.head);
+    w.u32(n.tail);
+    w.u32(n.num_hops);
+    w.u32(n.poison);
+  }
+  w.u32(static_cast<std::uint32_t>(snap.paths.num_poison_sets()));
+  for (std::size_t i = 0; i < snap.paths.num_poison_sets(); ++i)
+    w.asns(snap.paths.poison_set_at(i));
+
+  w.u32(static_cast<std::uint32_t>(snap.routes.size()));
+  for (const auto& pr : snap.routes) {
+    w.prefix(pr.prefix);
+    w.u32(pr.origin);
+    w.u32(static_cast<std::uint32_t>(pr.entries.size()));
+    for (const auto& e : pr.entries) {
+      w.u32(e.asn);
+      w.u32(e.selected);
+      w.u32(e.next_hop);
+      w.u8(e.self_originated ? 1 : 0);
+      w.u32(static_cast<std::uint32_t>(e.alternates.size()));
+      for (const auto& alt : e.alternates) {
+        w.u32(alt.path);
+        w.u32(alt.from_asn);
+      }
+    }
+  }
+}
+
+/// ByteReader::prefix() without its silent masking: a prefix with host bits
+/// set would load as its masked form and re-encode to different bytes.
+Ipv4Prefix read_canonical_prefix(ByteReader& r) {
+  const std::uint32_t network = r.u32();
+  const int length = r.u8();
+  IRP_CHECK(length <= 32, "oracle snapshot: prefix length out of range");
+  const Ipv4Prefix prefix{Ipv4Addr{network}, length};
+  IRP_CHECK(prefix.network().value() == network,
+            "oracle snapshot: prefix has host bits set");
+  return prefix;
+}
 
 }  // namespace
 
@@ -22,79 +107,24 @@ std::size_t OracleSnapshot::num_route_entries() const {
 }
 
 std::string OracleSnapshot::to_bytes() const {
+  ByteCounter counter;
+  encode_payload(*this, counter);
+  const std::size_t payload_size = counter.size();
+
   ByteWriter w;
-  w.u32(num_ases);
-
-  w.u32(static_cast<std::uint32_t>(relationships.size()));
-  for (const RelationshipEntry& r : relationships) {
-    w.u32(r.a);
-    w.u32(r.b);
-    w.u8(r.rel);
-  }
-
-  w.u32(static_cast<std::uint32_t>(sibling_groups.size()));
-  for (const auto& group : sibling_groups) w.asns(group);
-
-  w.u32(static_cast<std::uint32_t>(hybrid_entries.size()));
-  for (const HybridRecord& h : hybrid_entries) {
-    w.u32(h.a);
-    w.u32(h.b);
-    w.u32(h.city);
-    w.u8(h.rel);
-  }
-  w.u32(static_cast<std::uint32_t>(partial_transit.size()));
-  for (const auto& [provider, customer] : partial_transit) {
-    w.u32(provider);
-    w.u32(customer);
-  }
-
-  w.u32(static_cast<std::uint32_t>(observations.size()));
-  for (const ObservationBlock& block : observations) {
-    w.prefix(block.prefix);
-    w.u32(static_cast<std::uint32_t>(block.pairs.size()));
-    for (const auto& [origin, neighbor] : block.pairs) {
-      w.u32(origin);
-      w.u32(neighbor);
-    }
-  }
-
-  w.u32(static_cast<std::uint32_t>(paths.num_paths()));
-  for (PathId id = 0; id < paths.num_paths(); ++id) {
-    const PathTable::FlatNode n = paths.flat_node(id);
-    w.u32(n.head);
-    w.u32(n.tail);
-    w.u32(n.num_hops);
-    w.u32(n.poison);
-  }
-  w.u32(static_cast<std::uint32_t>(paths.num_poison_sets()));
-  for (std::size_t i = 0; i < paths.num_poison_sets(); ++i)
-    w.asns(paths.poison_set_at(i));
-
-  w.u32(static_cast<std::uint32_t>(routes.size()));
-  for (const PrefixRoutes& pr : routes) {
-    w.prefix(pr.prefix);
-    w.u32(pr.origin);
-    w.u32(static_cast<std::uint32_t>(pr.entries.size()));
-    for (const RouteEntry& e : pr.entries) {
-      w.u32(e.asn);
-      w.u32(e.selected);
-      w.u32(e.next_hop);
-      w.u8(e.self_originated ? 1 : 0);
-      w.u32(static_cast<std::uint32_t>(e.alternates.size()));
-      for (const AlternateRoute& alt : e.alternates) {
-        w.u32(alt.path);
-        w.u32(alt.from_asn);
-      }
-    }
-  }
-
-  const std::string payload = w.take();
-  ByteWriter header;
-  header.u32(kOracleSnapshotMagic);
-  header.u32(kOracleSnapshotVersion);
-  header.u64(payload.size());
-  header.u64(fnv1a64(payload));
-  return header.take() + payload;
+  w.reserve(kHeaderBytes + payload_size);
+  w.u32(kOracleSnapshotMagic);
+  w.u32(kOracleSnapshotVersion);
+  w.u64(payload_size);
+  w.u64(0);  // Checksum, patched in place once the payload is written.
+  encode_payload(*this, w);
+  std::string image = w.take();
+  IRP_CHECK(image.size() == kHeaderBytes + payload_size,
+            "oracle snapshot: payload size differs from its sizing pass");
+  const std::uint64_t checksum =
+      fnv1a64(std::string_view(image).substr(kHeaderBytes));
+  std::memcpy(image.data() + kChecksumOffset, &checksum, sizeof checksum);
+  return image;
 }
 
 OracleSnapshot OracleSnapshot::from_bytes(std::string_view bytes) {
@@ -157,7 +187,7 @@ OracleSnapshot OracleSnapshot::from_bytes(std::string_view bytes) {
   snap.observations.reserve(num_obs);
   for (std::uint32_t i = 0; i < num_obs; ++i) {
     ObservationBlock block;
-    block.prefix = r.prefix();
+    block.prefix = read_canonical_prefix(r);
     const std::uint32_t num_pairs = r.count(8);
     block.pairs.reserve(num_pairs);
     for (std::uint32_t p = 0; p < num_pairs; ++p) {
@@ -190,7 +220,7 @@ OracleSnapshot OracleSnapshot::from_bytes(std::string_view bytes) {
   snap.routes.reserve(num_prefixes);
   for (std::uint32_t i = 0; i < num_prefixes; ++i) {
     PrefixRoutes pr;
-    pr.prefix = r.prefix();
+    pr.prefix = read_canonical_prefix(r);
     pr.origin = r.u32();
     const std::uint32_t num_entries = r.count(17);
     pr.entries.reserve(num_entries);
@@ -201,7 +231,10 @@ OracleSnapshot OracleSnapshot::from_bytes(std::string_view bytes) {
       IRP_CHECK(entry.selected < snap.paths.num_paths(),
                 "oracle snapshot: route references a missing path");
       entry.next_hop = r.u32();
-      entry.self_originated = r.u8() != 0;
+      const std::uint8_t self_originated = r.u8();
+      IRP_CHECK(self_originated <= 1,
+                "oracle snapshot: self_originated flag is not 0 or 1");
+      entry.self_originated = self_originated == 1;
       const std::uint32_t num_alt = r.count(8);
       entry.alternates.reserve(num_alt);
       for (std::uint32_t a = 0; a < num_alt; ++a) {
@@ -258,31 +291,41 @@ OracleSnapshot snapshot_study(const PassiveDataset& ds) {
     snap.observations.push_back(OracleSnapshot::ObservationBlock{prefix, pairs});
 
   // Per-(AS, prefix) selected/alternate routes of the measurement engine,
-  // re-interned into the snapshot's own path table (hash-consing preserves
-  // suffix sharing, so the table stays compact).
+  // imported id by id into the snapshot's own path table. One memo over the
+  // engine's ids means each engine path node is walked once, and import()
+  // creates nodes in the order interning the materialized paths would, so
+  // the table (and the image) only holds paths some route uses.
+  const PathTable& engine_paths = engine.paths();
+  std::vector<PathId> memo;
   const std::vector<Ipv4Prefix> prefixes = engine.prefixes();
   snap.routes.reserve(prefixes.size());
   for (const Ipv4Prefix& prefix : prefixes) {
     OracleSnapshot::PrefixRoutes pr;
     pr.prefix = prefix;
-    for (Asn asn = 1; asn <= static_cast<Asn>(num_ases); ++asn) {
-      const BgpEngine::Selected* sel = engine.best(asn, prefix);
-      if (sel == nullptr) continue;
+    pr.entries.reserve(num_ases);  // At most one entry per AS ...
+    engine.visit_routes(prefix, [&](Asn asn, const BgpEngine::Selected& sel,
+                                    std::span<const BgpEngine::RibRoute> rib) {
       OracleSnapshot::RouteEntry entry;
       entry.asn = asn;
-      entry.selected = snap.paths.intern(engine.paths().materialize(sel->path_id));
-      entry.next_hop = sel->next_hop;
-      entry.self_originated = sel->self_originated;
-      if (sel->self_originated) pr.origin = asn;
-      for (const Route& route : engine.routes_at(asn, prefix)) {
-        if (route.via_link == sel->via_link) continue;  // The selected route.
-        OracleSnapshot::AlternateRoute alt;
-        alt.path = snap.paths.intern(route.path);
-        alt.from_asn = route.from_asn;
-        entry.alternates.push_back(alt);
+      entry.selected = snap.paths.import(engine_paths, sel.path_id, memo);
+      entry.next_hop = sel.next_hop;
+      entry.self_originated = sel.self_originated;
+      if (sel.self_originated) pr.origin = asn;
+      // Every RIB route but the selected one; sized exactly, since most ASes
+      // have none and the snapshot holds one entry per (AS, prefix).
+      entry.alternates.reserve(static_cast<std::size_t>(
+          std::count_if(rib.begin(), rib.end(), [&](const auto& route) {
+            return route.via_link != sel.via_link;
+          })));
+      for (const BgpEngine::RibRoute& route : rib) {
+        if (route.via_link == sel.via_link) continue;  // The selected route.
+        entry.alternates.push_back(OracleSnapshot::AlternateRoute{
+            snap.paths.import(engine_paths, route.path, memo),
+            route.from_asn});
       }
       pr.entries.push_back(std::move(entry));
-    }
+    });
+    pr.entries.shrink_to_fit();  // ... and held at exactly the routed ones.
     snap.routes.push_back(std::move(pr));
   }
   return snap;

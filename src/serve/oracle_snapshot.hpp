@@ -14,8 +14,10 @@
 // The loader rejects wrong magic/version, truncated images (size mismatch)
 // and corrupted payloads (checksum mismatch) with CheckError — never UB.
 // Inside the payload every count is bounds-checked against the remaining
-// bytes before any allocation, and the path table re-validates its tree
-// invariants on rebuild (PathTable::from_flat).
+// bytes before any allocation, the path table re-validates its tree
+// invariants on rebuild (PathTable::from_flat), and fields the writer never
+// produces (flag bytes other than 0/1, prefixes with host bits) are
+// rejected rather than normalized.
 #pragma once
 
 #include <cstdint>
@@ -101,7 +103,9 @@ struct OracleSnapshot {
   std::string to_bytes() const;
 
   /// Parses an image; throws CheckError on wrong magic/version, truncation,
-  /// checksum mismatch, or structurally malformed payloads.
+  /// checksum mismatch, structurally malformed payloads, or non-canonical
+  /// fields (a flag byte other than 0/1, a prefix with host bits set), so
+  /// any image that loads re-encodes to the same bytes.
   static OracleSnapshot from_bytes(std::string_view bytes);
 
   void save(const std::string& path) const;
@@ -110,6 +114,9 @@ struct OracleSnapshot {
 
 /// Freezes a completed passive study (aggregated inference products plus the
 /// live measurement-epoch engine) into a snapshot. Requires ds.engine.
+/// Routes are read through BgpEngine::visit_routes and their PathIds
+/// imported into `paths` (PathTable::import, one memo), so no AS path is
+/// materialized; the bytes equal those of interning every path by value.
 OracleSnapshot snapshot_study(const PassiveDataset& ds);
 
 }  // namespace irp

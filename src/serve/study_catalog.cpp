@@ -16,21 +16,14 @@ std::string checksum_hex(std::uint64_t checksum) {
 }
 
 /// Re-interns every path of `snapshot` into `arena` and rewrites the route
-/// entries to arena ids. One forward pass suffices: from_flat() guarantees
-/// a node's tail precedes it, so by the time node i is visited its tail is
-/// already remapped.
+/// entries to arena ids. Importing in id order makes every import() one
+/// step: from_flat() guarantees a node's tail precedes it, so the tail is
+/// already in the memo.
 void merge_paths_into_arena(OracleSnapshot& snapshot, PathTable& arena) {
   const PathTable& own = snapshot.paths;
-  std::vector<PathId> remap(own.num_paths());
-  for (PathId id = 0; id < own.num_paths(); ++id) {
-    const PathTable::FlatNode node = own.flat_node(id);
-    if (node.num_hops == 0) {
-      const std::vector<Asn>& poison = own.poison_set_at(node.poison);
-      remap[id] = arena.root(poison);
-    } else {
-      remap[id] = arena.prepend(remap[node.tail], node.head);
-    }
-  }
+  std::vector<PathId> remap;
+  for (PathId id = 0; id < own.num_paths(); ++id)
+    arena.import(own, id, remap);
   for (OracleSnapshot::PrefixRoutes& pr : snapshot.routes) {
     for (OracleSnapshot::RouteEntry& entry : pr.entries) {
       entry.selected = remap[entry.selected];

@@ -28,7 +28,8 @@ TEST(Engine, PropagatesAlongProviderChain) {
 
   const auto* sel = engine.best(a, p);
   ASSERT_NE(sel, nullptr);
-  EXPECT_EQ(sel->path.hops, (std::vector<Asn>{b, c}));
+  EXPECT_EQ(engine.paths().materialize(sel->path_id).hops,
+            (std::vector<Asn>{b, c}));
   EXPECT_EQ(engine.forward_next_hop(a, p), b);
   EXPECT_TRUE(engine.converged());
 }
@@ -105,7 +106,7 @@ TEST(Engine, ShorterPathWinsWithinClass) {
   BgpEngine engine{&t.topo, &policy, 0};
   const auto pfx = announce_own(engine, t, d);
   EXPECT_EQ(engine.best(x, pfx)->next_hop, c1);
-  EXPECT_EQ(engine.best(x, pfx)->path.length(), 2u);
+  EXPECT_EQ(engine.paths().length(engine.best(x, pfx)->path_id), 2u);
 }
 
 TEST(Engine, IgpCostBreaksTies) {
@@ -150,7 +151,7 @@ TEST(Engine, PoisonedAnnouncementTriggersLoopPrevention) {
   ASSERT_NE(engine.best(x, pfx), nullptr);
   EXPECT_NE(engine.best(x, pfx)->next_hop, first);
   // The poisoned set counts as one extra hop of path length.
-  EXPECT_EQ(engine.best(x, pfx)->path.length(), 3u);
+  EXPECT_EQ(engine.paths().length(engine.best(x, pfx)->path_id), 3u);
 
   // Poison both: x has no route left.
   engine.announce(pfx, d,
@@ -270,7 +271,8 @@ TEST(Engine, SiblingCustomerRoutesExportEverywhere) {
   BgpEngine engine{&t.topo, &policy, 0};
   const auto pfx = announce_own(engine, t, d);
   ASSERT_NE(engine.best(peer, pfx), nullptr);
-  EXPECT_EQ(engine.best(peer, pfx)->path.hops, (std::vector<Asn>{s2, s1, d}));
+  EXPECT_EQ(engine.paths().materialize(engine.best(peer, pfx)->path_id).hops,
+            (std::vector<Asn>{s2, s1, d}));
 }
 
 TEST(Engine, FeedReportsCollectorPeersBestRoutes) {

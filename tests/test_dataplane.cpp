@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "dataplane/as_type.hpp"
 #include "dataplane/dns.hpp"
@@ -97,6 +101,63 @@ TEST(Traceroute, RejectsAddressOutsidePrefix) {
   EXPECT_THROW(sim.run(a, Ipv4Addr{}, *Ipv4Addr::parse("9.9.9.9"),
                        t.prefix_of(a)),
                CheckError);
+}
+
+TEST(Traceroute, ConcurrentReadersOfOneConvergedEngineMatchSerial) {
+  // best(), forward_next_hop() and TracerouteSim only read a converged
+  // engine, so threads may share one. Four threads trace the same probe set
+  // and must each reproduce the serial transcript (an IRP_SANITIZE=thread
+  // build also checks that the reads do not race).
+  const auto net = generate_internet(test::small_generator_config());
+  const Topology& topo = net->topology;
+  GroundTruthPolicy policy{&topo};
+  BgpEngine engine{&topo, &policy, net->measurement_epoch};
+  std::vector<Ipv4Prefix> targets;
+  for (Asn origin = 1; origin <= topo.num_ases() && targets.size() < 24;
+       origin += 3) {
+    if (topo.as_node(origin).prefixes.empty()) continue;
+    targets.push_back(topo.as_node(origin).prefixes[0].prefix);
+    engine.announce(targets.back(), origin);
+  }
+  engine.run();
+  ASSERT_TRUE(engine.converged());
+  const TracerouteSim sim{&topo, &engine};
+
+  const auto transcript = [&] {
+    std::ostringstream out;
+    for (const Ipv4Prefix& prefix : targets) {
+      for (Asn src = 1; src <= topo.num_ases(); ++src) {
+        out << src << ' ' << prefix.to_string() << ':';
+        if (const auto* sel = engine.best(src, prefix))
+          out << " sel=" << sel->path_id << '/' << sel->next_hop;
+        if (const auto nh = engine.forward_next_hop(src, prefix))
+          out << " nh=" << *nh;
+        const auto tr = sim.run(src, topo.as_node(src).pops[0].router_prefix
+                                         .address_at(1),
+                                prefix.address_at(1), prefix);
+        if (tr.has_value()) {
+          out << " reached=" << tr->reached;
+          for (const TracerouteHop& hop : tr->hops)
+            out << ' ' << hop.address.to_string() << '@' << hop.truth_asn;
+        }
+        out << " fwd";
+        for (Asn asn : sim.forwarding_path(src, prefix)) out << ' ' << asn;
+        out << '\n';
+      }
+    }
+    return out.str();
+  };
+
+  // The threads read the freshly converged engine before the serial pass,
+  // so no read can lean on state an earlier read left behind.
+  std::vector<std::string> parallel(4);
+  std::vector<std::thread> threads;
+  for (std::string& result : parallel)
+    threads.emplace_back([&result, &transcript] { result = transcript(); });
+  for (std::thread& t : threads) t.join();
+  const std::string serial = transcript();
+  for (const std::string& result : parallel) EXPECT_EQ(result, serial);
+  EXPECT_NE(serial.find("reached=1"), std::string::npos);
 }
 
 TEST(AsTypes, ClassifierBuckets) {

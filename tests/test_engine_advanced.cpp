@@ -62,8 +62,8 @@ TEST(EngineAdvanced, PrependDoesNotAffectOtherLinks) {
   engine.run();
   ASSERT_NE(engine.best(p1, pfx), nullptr);
   ASSERT_NE(engine.best(p2, pfx), nullptr);
-  EXPECT_EQ(engine.best(p1, pfx)->path.length(), 3u);
-  EXPECT_EQ(engine.best(p2, pfx)->path.length(), 1u);
+  EXPECT_EQ(engine.paths().length(engine.best(p1, pfx)->path_id), 3u);
+  EXPECT_EQ(engine.paths().length(engine.best(p2, pfx)->path_id), 1u);
 }
 
 TEST(EngineAdvanced, SiblingChainPropagatesOrgClass) {

@@ -40,6 +40,16 @@ std::string dump_route(const Route& r) {
   return out.str();
 }
 
+/// The selected path as a value: the baseline engine stores it in the
+/// Selected record, the interned engine keeps only an id into paths().
+AsPath selected_path(const BaselineBgpEngine&,
+                     const BaselineBgpEngine::Selected& sel) {
+  return sel.path;
+}
+AsPath selected_path(const BgpEngine& engine, const BgpEngine::Selected& sel) {
+  return engine.paths().materialize(sel.path_id);
+}
+
 /// Full observable dump of an engine: works for both engine types because
 /// the public accessors are call-compatible.
 template <typename Engine>
@@ -53,9 +63,10 @@ std::string dump_engine(const Engine& engine, std::span<const Asn> peers) {
       const auto* sel = engine.best(asn, prefix);
       if (sel != nullptr)
         out << "  AS" << asn << " sel "
-            << dump_selected_common(sel->path, sel->via_link, sel->next_hop,
-                                    sel->age, sel->local_pref,
-                                    sel->self_originated, sel->effective_class)
+            << dump_selected_common(selected_path(engine, *sel),
+                                    sel->via_link, sel->next_hop, sel->age,
+                                    sel->local_pref, sel->self_originated,
+                                    sel->effective_class)
             << '\n';
       for (const Route& r : engine.routes_at(asn, prefix))
         out << "  AS" << asn << " rib " << dump_route(r) << '\n';

@@ -80,11 +80,12 @@ TEST(EngineVsModel, AgreeOnPureGaoRexfordTopologies) {
         EXPECT_EQ(preference_class(chosen_rel), preference_class(*best))
             << ctx;
         // The realized path is never shorter than the model's shortest.
-        EXPECT_GE(sel->path.length(), ps.shortest_length(x)) << ctx;
+        EXPECT_GE(engine.paths().length(sel->path_id), ps.shortest_length(x))
+            << ctx;
         // And the realized path is itself valley-free.
         int state = 0;
         Asn prev = x;
-        for (Asn hop : sel->path.hops) {
+        for (Asn hop : engine.paths().materialize(sel->path_id).hops) {
           const auto rel = gr.mirror.relationship(prev, hop);
           ASSERT_TRUE(rel.has_value()) << ctx;
           if (*rel == Relationship::kProvider) {
@@ -126,7 +127,8 @@ TEST(EngineVsModel, PoisoningNeverCreatesInvalidPaths) {
       if (sel == nullptr || sel->self_originated) continue;
       for (Asn bad : poison) {
         EXPECT_NE(x, bad) << "poisoned AS kept a route";
-        for (Asn hop : sel->path.hops) EXPECT_NE(hop, bad);
+        for (Asn hop : engine.paths().materialize(sel->path_id).hops)
+          EXPECT_NE(hop, bad);
       }
     }
   }

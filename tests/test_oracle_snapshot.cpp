@@ -1,15 +1,18 @@
 // Oracle snapshot tests: freeze a real passive study, prove the binary
 // image round-trips byte-exactly, answers identically to a live-study
-// oracle across the full scenario ladder, and rejects corrupted or
-// truncated images with a checksum/version error instead of undefined
-// behavior.
+// oracle across the full scenario ladder, matches the image of the older
+// path-materializing builder byte for byte, and rejects corrupted,
+// truncated, or non-canonical images with a typed error instead of
+// undefined behavior.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
 
 #include "core/classify.hpp"
+#include "serve/byte_io.hpp"
 #include "serve/oracle_service.hpp"
 #include "test_support.hpp"
 #include "util/check.hpp"
@@ -130,6 +133,135 @@ TEST(OracleSnapshot, RoutesMatchTheLiveEngine) {
     }
   }
   EXPECT_EQ(route_entries, loaded.num_route_entries());
+}
+
+/// Reference builder for the route sections: copies every selected and
+/// alternate path out of the engine as a value and interns it back into a
+/// fresh table. snapshot_study must produce the same bytes without
+/// materializing; the non-route sections are taken from it as they are.
+OracleSnapshot materializing_snapshot(const PassiveDataset& ds) {
+  OracleSnapshot snap = snapshot_study(ds);
+  snap.paths = PathTable{};
+  snap.routes.clear();
+  const BgpEngine& engine = *ds.engine;
+  for (const Ipv4Prefix& prefix : engine.prefixes()) {
+    OracleSnapshot::PrefixRoutes pr;
+    pr.prefix = prefix;
+    for (Asn asn = 1; asn <= static_cast<Asn>(snap.num_ases); ++asn) {
+      const BgpEngine::Selected* sel = engine.best(asn, prefix);
+      if (sel == nullptr) continue;
+      OracleSnapshot::RouteEntry entry;
+      entry.asn = asn;
+      entry.selected =
+          snap.paths.intern(engine.paths().materialize(sel->path_id));
+      entry.next_hop = sel->next_hop;
+      entry.self_originated = sel->self_originated;
+      if (sel->self_originated) pr.origin = asn;
+      for (const Route& route : engine.routes_at(asn, prefix)) {
+        if (route.via_link == sel->via_link) continue;
+        entry.alternates.push_back(OracleSnapshot::AlternateRoute{
+            snap.paths.intern(route.path), route.from_asn});
+      }
+      pr.entries.push_back(std::move(entry));
+    }
+    snap.routes.push_back(std::move(pr));
+  }
+  return snap;
+}
+
+TEST(OracleSnapshot, ImageMatchesTheMaterializingBuilder) {
+  const StudyFixture& f = study();
+  const std::string reference = materializing_snapshot(f.passive).to_bytes();
+  ASSERT_EQ(reference.size(), f.bytes.size());
+  EXPECT_TRUE(reference == f.bytes) << "snapshot image bytes changed";
+}
+
+// -- Canonical loading: an image that loads must re-encode to itself, so
+// the loader rejects field values to_bytes() can never write.
+
+/// A hand-built image whose prefixes and route flag are easy to locate.
+std::string tiny_image() {
+  OracleSnapshot snap;
+  snap.num_ases = 100;
+  snap.observations.push_back(OracleSnapshot::ObservationBlock{
+      Ipv4Prefix{Ipv4Addr{0x0A141E00u}, 24}, {{77, 78}}});
+  OracleSnapshot::PrefixRoutes pr;
+  pr.prefix = Ipv4Prefix{Ipv4Addr{0x0B000000u}, 8};
+  pr.origin = 77;
+  OracleSnapshot::RouteEntry entry;
+  entry.asn = 77;
+  entry.self_originated = true;
+  pr.entries.push_back(entry);
+  snap.routes.push_back(pr);
+  return snap.to_bytes();
+}
+
+std::string le32(std::uint32_t v) {
+  std::string out(4, '\0');
+  std::memcpy(out.data(), &v, 4);
+  return out;
+}
+
+/// Offset of the one occurrence of `pattern` in `image`.
+std::size_t locate(const std::string& image, const std::string& pattern) {
+  const std::size_t at = image.find(pattern);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "pattern not in image";
+    return 0;
+  }
+  EXPECT_EQ(image.find(pattern, at + 1), std::string::npos);
+  return at;
+}
+
+/// Recomputes the header checksum after a payload edit, so the field check
+/// (not the checksum) has to catch the mutation.
+std::string resealed(std::string image) {
+  const std::uint64_t checksum = fnv1a64(std::string_view(image).substr(24));
+  std::memcpy(image.data() + 16, &checksum, sizeof checksum);
+  return image;
+}
+
+void expect_rejected(const std::string& image, const std::string& what) {
+  try {
+    (void)OracleSnapshot::from_bytes(image);
+    FAIL() << "expected CheckError mentioning '" << what << "'";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(OracleSnapshot, TinyImageRoundTrips) {
+  const std::string image = tiny_image();
+  EXPECT_EQ(resealed(image), image);
+  EXPECT_EQ(OracleSnapshot::from_bytes(image).to_bytes(), image);
+}
+
+TEST(OracleSnapshot, RejectsNonBooleanSelfOriginatedFlag) {
+  const std::string image = tiny_image();
+  // asn 77 | selected 0 | next_hop 0 | self_originated 1
+  const std::size_t flag =
+      locate(image, le32(77) + le32(0) + le32(0) + '\x01') + 12;
+  for (const char bad : {'\x02', '\xFF'}) {
+    std::string mutated = image;
+    mutated[flag] = bad;
+    expect_rejected(resealed(mutated), "self_originated");
+  }
+  std::string cleared = image;
+  cleared[flag] = '\0';
+  EXPECT_EQ(OracleSnapshot::from_bytes(resealed(cleared)).to_bytes(),
+            resealed(cleared));
+}
+
+TEST(OracleSnapshot, RejectsPrefixesWithHostBitsSet) {
+  const std::string image = tiny_image();
+  // 10.20.30.0/24 in the observation section; 11.0.0.0/8 in the routes.
+  for (const std::string& prefix :
+       {le32(0x0A141E00u) + '\x18', le32(0x0B000000u) + '\x08'}) {
+    std::string mutated = image;
+    mutated[locate(image, prefix)] = '\x01';  // Lowest network byte.
+    expect_rejected(resealed(mutated), "host bits");
+  }
 }
 
 TEST(OracleSnapshot, RejectsBadMagic) {

@@ -1,10 +1,12 @@
 // PathTable unit tests: hash-consing semantics (same path <=> same id),
-// prepend/contains/length, poison-set identity, and a randomized stress run
-// that cross-checks the table against materialized AsPath values.
+// prepend/contains/length, poison-set identity, a randomized stress run
+// that cross-checks the table against materialized AsPath values, and
+// cross-table import.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "bgp/path_table.hpp"
@@ -199,6 +201,62 @@ TEST(PathTable, RebuiltTableKeepsInterning) {
   // New paths keep working on top of the rebuilt state.
   const PathId extended = rebuilt.prepend(id, 9);
   EXPECT_EQ(rebuilt.materialize(extended).hops, (std::vector<Asn>{9, 1, 2, 3}));
+}
+
+TEST(PathTable, ImportMatchesInterningTheMaterializedPath) {
+  // import() is the cross-table copy behind the oracle snapshot builder and
+  // the study catalog; their image bytes rely on it creating exactly the
+  // ids and node layout that intern(src.materialize(id)) would. Cover
+  // poisoned roots, shared suffixes, a destination that already holds some
+  // of the paths, and ids visited in shuffled order (so walks stop at
+  // memoized nodes at every depth).
+  PathTable src;
+  Rng rng{20261017};
+  for (int i = 0; i < 1500; ++i) {
+    AsPath value;
+    const std::size_t len = rng.index(8);
+    for (std::size_t h = 0; h < len; ++h)
+      value.hops.push_back(Asn(1 + rng.index(12)));
+    if (rng.chance(0.15)) value.poison_set.push_back(Asn(1 + rng.index(4)));
+    (void)src.intern(value);
+  }
+  ASSERT_GT(src.num_poison_sets(), 2u);
+
+  PathTable by_value;
+  PathTable by_import;
+  for (PathTable* dst : {&by_value, &by_import}) {
+    (void)dst->intern(AsPath{{3, 2, 1}, {}});
+    (void)dst->intern(AsPath{{7}, {4}});
+  }
+
+  std::vector<PathId> order(src.num_paths());
+  for (PathId id = 0; id < src.num_paths(); ++id) order[id] = id;
+  rng.shuffle(order);
+  std::vector<PathId> memo;
+  for (const PathId id : order) {
+    const AsPath value = src.materialize(id);
+    const PathId expected = by_value.intern(value);
+    ASSERT_EQ(by_import.import(src, id, memo), expected) << value.to_string();
+    ASSERT_EQ(by_import.materialize(expected), value);
+  }
+  // Importing again is a pure memo hit.
+  const std::size_t nodes = by_import.num_paths();
+  for (const PathId id : order)
+    ASSERT_EQ(by_import.import(src, id, memo), memo[id]);
+  EXPECT_EQ(by_import.num_paths(), nodes);
+
+  // Same layout node for node, so a snapshot image would be byte-identical.
+  ASSERT_EQ(by_import.num_paths(), by_value.num_paths());
+  for (PathId id = 0; id < by_value.num_paths(); ++id) {
+    const PathTable::FlatNode a = by_import.flat_node(id);
+    const PathTable::FlatNode b = by_value.flat_node(id);
+    ASSERT_EQ(std::tie(a.head, a.tail, a.num_hops, a.poison),
+              std::tie(b.head, b.tail, b.num_hops, b.poison))
+        << "node " << id;
+  }
+  ASSERT_EQ(by_import.num_poison_sets(), by_value.num_poison_sets());
+  for (std::size_t i = 0; i < by_value.num_poison_sets(); ++i)
+    EXPECT_EQ(by_import.poison_set_at(i), by_value.poison_set_at(i));
 }
 
 TEST(PathTable, FromFlatRejectsMalformedImages) {

@@ -130,7 +130,10 @@ TEST(TopologySerialize, ParsedTopologyRoutesIdentically) {
     const auto* s1 = e1.best(asn, prefix);
     const auto* s2 = e2.best(asn, prefix);
     ASSERT_EQ(s1 == nullptr, s2 == nullptr) << asn;
-    if (s1 != nullptr) EXPECT_EQ(s1->path, s2->path) << asn;
+    if (s1 != nullptr)
+      EXPECT_EQ(e1.paths().materialize(s1->path_id),
+                e2.paths().materialize(s2->path_id))
+          << asn;
   }
 }
 
