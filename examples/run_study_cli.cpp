@@ -42,9 +42,9 @@
 //       --bind defaults to 127.0.0.1; use 0.0.0.0 to accept remote hosts.
 //
 // --scale multiplies the edge population (stubs and access ISPs); the
-// default (1) matches the paper-calibrated configuration. --threads runs
-// the parallel passive-study phases on N threads (0 = hardware count,
-// default 1 = serial); results are byte-identical at any thread count.
+// default (1) matches the paper-calibrated configuration. --threads sizes
+// the study's one thread pool (0 = hardware count, default 1 = serial);
+// results are byte-identical at any thread count.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>

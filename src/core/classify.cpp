@@ -1,7 +1,6 @@
 #include "core/classify.hpp"
 
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace irp {
 
@@ -17,6 +16,13 @@ std::vector<NamedScenario> figure1_scenarios() {
       {"All-2",
        {.use_hybrid = true, .use_siblings = true, .psp = PspMode::kCriteria2}},
   };
+}
+
+std::vector<ScenarioOptions> figure1_options() {
+  std::vector<ScenarioOptions> out;
+  for (const NamedScenario& scenario : figure1_scenarios())
+    out.push_back(scenario.options);
+  return out;
 }
 
 DecisionClassifier::DecisionClassifier(const InferredTopology* topo,
@@ -87,24 +93,29 @@ const GrPathSet& DecisionClassifier::path_set(
 }
 
 void DecisionClassifier::precompute(
-    const std::vector<RouteDecision>& decisions, int threads) const {
+    const std::vector<RouteDecision>& decisions, ThreadPool& pool,
+    const std::vector<ScenarioOptions>& scenarios) const {
   // Deduplicate up front so the pool sees one job per distinct cache key;
   // keep a representative decision (+ scenario) per key to rebuild the
-  // filter. All Figure 1 scenarios map onto the three PSP modes.
+  // filter. Scenarios map onto the three PSP modes.
   std::map<CacheKey, std::pair<const RouteDecision*, ScenarioOptions>> work;
-  for (const NamedScenario& scenario : figure1_scenarios())
+  for (const ScenarioOptions& options : scenarios)
     for (const RouteDecision& d : decisions)
-      work.emplace(cache_key(d, scenario.options),
-                   std::make_pair(&d, scenario.options));
+      work.emplace(cache_key(d, options), std::make_pair(&d, options));
 
   std::vector<std::pair<const RouteDecision*, ScenarioOptions>> jobs;
   jobs.reserve(work.size());
   for (const auto& [key, job] : work) jobs.push_back(job);
 
-  ThreadPool pool{threads};
   pool.parallel_for(0, jobs.size(), [&](std::size_t i) {
     path_set(*jobs[i].first, jobs[i].second);
   });
+}
+
+void DecisionClassifier::precompute(
+    const std::vector<RouteDecision>& decisions, int threads) const {
+  ThreadPool pool{threads};
+  precompute(decisions, pool);
 }
 
 std::optional<Relationship> DecisionClassifier::effective_relationship(

@@ -25,6 +25,7 @@
 #include "inference/hybrid_dataset.hpp"
 #include "inference/relationships.hpp"
 #include "inference/siblings.hpp"
+#include "util/thread_pool.hpp"
 
 namespace irp {
 
@@ -44,6 +45,8 @@ struct NamedScenario {
   ScenarioOptions options;
 };
 std::vector<NamedScenario> figure1_scenarios();
+/// The options of figure1_scenarios(), in the same order.
+std::vector<ScenarioOptions> figure1_options();
 
 /// Classifies decisions against the GR model over an inferred topology.
 ///
@@ -80,10 +83,17 @@ class DecisionClassifier {
                             const ScenarioOptions& opts) const;
 
   /// Warms the GrPathSet cache for every distinct (destination, PSP mode,
-  /// prefix) key the given decisions touch under the standard Figure 1
-  /// scenarios, fanning GrModel::compute out over `threads` workers
-  /// (ParallelConfig semantics: 0 = hardware, 1 = inline). Purely a
-  /// performance hint — classification results are identical without it.
+  /// prefix) key the given decisions touch under `scenarios`, fanning
+  /// GrModel::compute out over `pool`. Purely a performance hint —
+  /// classification results are identical without it.
+  void precompute(const std::vector<RouteDecision>& decisions,
+                  ThreadPool& pool,
+                  const std::vector<ScenarioOptions>& scenarios =
+                      figure1_options()) const;
+
+  /// The same over the Figure 1 scenarios on a pool of its own with
+  /// `threads` participants (ParallelConfig semantics: 0 = hardware,
+  /// 1 = inline).
   void precompute(const std::vector<RouteDecision>& decisions,
                   int threads) const;
 

@@ -10,7 +10,9 @@
 //     criteria) during classification.
 //
 // compute_extended_model() reports how much of the model/reality gap the
-// corrections close relative to the Simple model.
+// corrections close relative to the Simple model. It reads the study's
+// frozen passive dataset only, so run_full_study runs it beside the other
+// analyses and the active experiments on the study's one ThreadPool.
 #pragma once
 
 #include "core/analysis.hpp"
@@ -35,6 +37,16 @@ struct ExtendedModelReport {
 };
 
 /// Evaluates Simple vs All-1 vs the extended model on a passive dataset.
+/// `classifier` classifies over the raw aggregated topology
+/// (make_classifier(ds)); Simple and All-1 reuse its GrPathSet cache. The
+/// three corrected classifiers (pruned + cable, pruned, cable only) are
+/// built, warmed for All-1 and run concurrently on `pool`.
+ExtendedModelReport compute_extended_model(const PassiveDataset& ds,
+                                           const GeneratedInternet& net,
+                                           const DecisionClassifier& classifier,
+                                           ThreadPool& pool);
+
+/// The same, serially, with a fresh raw-topology classifier.
 ExtendedModelReport compute_extended_model(const PassiveDataset& ds,
                                            const GeneratedInternet& net);
 

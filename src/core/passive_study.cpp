@@ -21,15 +21,28 @@ std::vector<Asn> content_related_ases(const GeneratedInternet& net) {
   return {ases.begin(), ases.end()};
 }
 
-/// Runs per-epoch chunked convergences announcing one prefix per AS and
-/// feeds the corpus — the route-collector view of each monthly snapshot.
-///
+/// The route-collector view of each monthly snapshot: per-epoch chunked
+/// convergences announcing one prefix per AS, one feed per (epoch, batch)
+/// job, jobs in ascending epoch order.
+struct CorpusFeeds {
+  std::vector<int> epoch;                     ///< Per job.
+  std::vector<std::vector<FeedEntry>> feeds;  ///< Per job.
+
+  /// Adds every feed of `e`'s jobs to `corpus` and frees it.
+  void consume_epoch(int e, PathCorpus& corpus) {
+    for (std::size_t j = 0; j < feeds.size(); ++j) {
+      if (epoch[j] != e) continue;
+      for (const FeedEntry& entry : feeds[j]) corpus.add_feed(e, entry);
+      std::vector<FeedEntry>().swap(feeds[j]);
+    }
+  }
+};
+
 /// Each (epoch, batch) convergence owns a private BgpEngine over the shared
-/// immutable topology/policy, so batches run concurrently on `pool`; feeds
-/// are merged in deterministic (epoch, batch-index) order afterwards, which
-/// keeps the corpus byte-identical to a serial run.
-void build_corpus(const GeneratedInternet& net, const GroundTruthPolicy& policy,
-                  int batch, ThreadPool& pool, PathCorpus& corpus) {
+/// immutable topology/policy, so jobs run concurrently on `pool`.
+CorpusFeeds converge_corpus_jobs(const GeneratedInternet& net,
+                                 const GroundTruthPolicy& policy, int batch,
+                                 ThreadPool& pool) {
   const Topology& topo = net.topology;
   std::vector<std::pair<Ipv4Prefix, Asn>> origins;
   topo.for_each_as([&](const AsNode& node) {
@@ -37,34 +50,29 @@ void build_corpus(const GeneratedInternet& net, const GroundTruthPolicy& policy,
       origins.emplace_back(node.prefixes.front().prefix, node.asn);
   });
 
-  struct Job {
-    int epoch;
-    std::size_t start;
-  };
-  std::vector<Job> jobs;
+  CorpusFeeds out;
+  std::vector<std::size_t> starts;
   for (int epoch = 0; epoch <= net.measurement_epoch; ++epoch)
     for (std::size_t start = 0; start < origins.size();
-         start += static_cast<std::size_t>(batch))
-      jobs.push_back({epoch, start});
+         start += static_cast<std::size_t>(batch)) {
+      out.epoch.push_back(epoch);
+      starts.push_back(start);
+    }
 
   // Engines are short-lived (one per job) but their per-prefix state is
   // O(num_ases · batch); the shared pool recycles it across jobs instead of
   // re-mallocing it for every (epoch, batch).
   BgpEngine::StatePool state_pool;
-  const std::vector<std::vector<FeedEntry>> feeds =
-      pool.parallel_map(jobs.size(), [&](std::size_t j) {
-        const Job& job = jobs[j];
-        BgpEngine engine{&topo, &policy, job.epoch, &state_pool};
-        const std::size_t end = std::min(
-            origins.size(), job.start + static_cast<std::size_t>(batch));
-        for (std::size_t i = job.start; i < end; ++i)
-          engine.announce(origins[i].first, origins[i].second);
-        engine.run();
-        return engine.feed(net.collector_peers);
-      });
-
-  for (std::size_t j = 0; j < jobs.size(); ++j)
-    for (const FeedEntry& e : feeds[j]) corpus.add_feed(jobs[j].epoch, e);
+  out.feeds = pool.parallel_map(starts.size(), [&](std::size_t j) {
+    BgpEngine engine{&topo, &policy, out.epoch[j], &state_pool};
+    const std::size_t end = std::min(
+        origins.size(), starts[j] + static_cast<std::size_t>(batch));
+    for (std::size_t i = starts[j]; i < end; ++i)
+      engine.announce(origins[i].first, origins[i].second);
+    engine.run();
+    return engine.feed(net.collector_peers);
+  });
+  return out;
 }
 
 }  // namespace
@@ -85,20 +93,45 @@ void announce_all(BgpEngine& engine, const Topology& topo,
 
 PassiveDataset run_passive_study(const GeneratedInternet& net,
                                  const PassiveStudyConfig& config) {
+  ThreadPool pool{config.parallel.threads};
+  return run_passive_study(net, config, pool);
+}
+
+PassiveDataset run_passive_study(const GeneratedInternet& net,
+                                 const PassiveStudyConfig& config,
+                                 ThreadPool& pool) {
   PassiveDataset ds;
   Rng rng{config.seed};
   const Topology& topo = net.topology;
-  ThreadPool pool{config.parallel.threads};
+  const int measurement_epoch = net.measurement_epoch;
 
   ds.policy = std::make_unique<GroundTruthPolicy>(&topo);
 
-  // -- 1. Inference corpus across all snapshots.
-  build_corpus(net, *ds.policy, config.snapshot_batch, pool, ds.corpus);
+  // -- 1. Inference corpus convergences across all snapshots.
+  CorpusFeeds corpus_feeds =
+      converge_corpus_jobs(net, *ds.policy, config.snapshot_batch, pool);
 
-  // -- 2. Measurement-epoch engine with all content-related prefixes.
-  ds.engine = std::make_unique<BgpEngine>(&topo, ds.policy.get(),
-                                          net.measurement_epoch);
-  announce_all(*ds.engine, topo, content_related_ases(net));
+  // -- 2. Measurement-epoch engine with all content-related prefixes
+  // (index 0), beside each earlier epoch's path set and its inference
+  // (index e + 1). The measurement epoch's set also needs the measurement
+  // feed, so it is built after step 4. Each epoch fills a PathCorpus of its
+  // own; path sets do not depend on insertion order, so merging the parts
+  // yields the corpus a serial run builds.
+  std::vector<PathCorpus> parts(static_cast<std::size_t>(measurement_epoch) +
+                                1);
+  ds.snapshots.resize(parts.size());
+  ds.engine =
+      std::make_unique<BgpEngine>(&topo, ds.policy.get(), measurement_epoch);
+  pool.parallel_for(0, parts.size(), [&](std::size_t i) {
+    if (i == 0) {
+      announce_all(*ds.engine, topo, content_related_ases(net));
+      return;
+    }
+    const int epoch = static_cast<int>(i) - 1;
+    corpus_feeds.consume_epoch(epoch, parts[i - 1]);
+    ds.snapshots[i - 1] =
+        infer_snapshot(parts[i - 1].paths(epoch), config.inference);
+  });
 
   // -- 3. Probes and traceroutes.
   ProbeSampler sampler{&topo, &net.world, config.probes, rng.fork()};
@@ -181,20 +214,16 @@ PassiveDataset run_passive_study(const GeneratedInternet& net,
   ds.num_destination_ases = dest_ases.size();
   ds.num_observed_decider_ases = decider_ases.size();
 
-  // -- 5. Inference products.
+  // -- 5. Inference products: the measurement epoch's path set and its
+  // inference, then the aggregation over every epoch.
   ds.measurement_feed = ds.engine->feed(net.collector_peers);
+  PathCorpus& latest = parts.back();
+  corpus_feeds.consume_epoch(measurement_epoch, latest);
   for (const FeedEntry& e : ds.measurement_feed)
-    ds.corpus.add_feed(net.measurement_epoch, e);
-
-  // Per-snapshot inference is a pure function of the (now frozen) corpus;
-  // parallel_map returns the snapshots in ascending epoch order regardless
-  // of which thread computed which epoch.
-  ds.snapshots = pool.parallel_map(
-      static_cast<std::size_t>(net.measurement_epoch + 1),
-      [&](std::size_t epoch) {
-        return infer_snapshot(ds.corpus.paths(static_cast<int>(epoch)),
-                              config.inference);
-      });
+    latest.add_feed(measurement_epoch, e);
+  ds.snapshots.back() =
+      infer_snapshot(latest.paths(measurement_epoch), config.inference);
+  for (PathCorpus& part : parts) ds.corpus.merge(std::move(part));
   ds.inferred = aggregate_snapshots(ds.snapshots);
 
   ds.siblings = infer_siblings(net.whois, net.soa);

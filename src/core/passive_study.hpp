@@ -5,7 +5,8 @@
 //   1. converge the ground-truth BGP system for five monthly snapshots and
 //      collect route-collector feeds (the inference corpus);
 //   2. converge the measurement-epoch system for all content-related
-//      prefixes;
+//      prefixes (concurrently with step 5's path sets and inference of the
+//      earlier epochs, which need only their corpus feeds);
 //   3. sample RIPE-style probes (continent round-robin), resolve the content
 //      hostnames per probe, traceroute to the resolved addresses;
 //   4. convert IP paths to AS paths and extract per-AS routing decisions;
@@ -48,10 +49,14 @@ struct PassiveStudyConfig {
   InferenceConfig inference;
   /// Engine batching for the snapshot runs (memory control).
   int snapshot_batch = 64;
-  /// Thread count for the embarrassingly parallel phases (corpus
-  /// convergences, per-snapshot inference). All randomness stays in the
-  /// serial orchestration, so any thread count produces byte-identical
-  /// results; 1 (the default) is the classic serial path.
+  /// Thread count of the study's ThreadPool. The passive campaign runs its
+  /// corpus convergences, then the measurement-epoch convergence beside the
+  /// per-epoch corpus assembly and inference, on it; run_full_study also
+  /// runs the classifier precompute and the post-passive branches (active
+  /// experiments, extended model, analyses) on the same pool. All
+  /// randomness stays in the serial orchestration, so any thread count
+  /// produces byte-identical results; 1 (the default) is the classic
+  /// serial path.
   ParallelConfig parallel;
   std::uint64_t seed = 7;
 };
@@ -86,9 +91,16 @@ struct PassiveDataset {
   PassiveDataset& operator=(PassiveDataset&&) = default;
 };
 
-/// Runs the passive campaign over a generated Internet.
+/// Runs the passive campaign over a generated Internet on a ThreadPool of
+/// its own, sized by `config.parallel`.
 PassiveDataset run_passive_study(const GeneratedInternet& net,
                                  const PassiveStudyConfig& config);
+
+/// The same on a caller-owned pool (`config.parallel` is not read), so a
+/// whole study runs on one pool.
+PassiveDataset run_passive_study(const GeneratedInternet& net,
+                                 const PassiveStudyConfig& config,
+                                 ThreadPool& pool);
 
 /// Announces every originated prefix of the given ASes on `engine`
 /// (honoring selective-announcement restrictions) and converges.

@@ -25,6 +25,17 @@ void PathCorpus::add_feed(int epoch, const FeedEntry& entry) {
   add(epoch, entry.path.hops);
 }
 
+void PathCorpus::merge(PathCorpus&& other) {
+  for (auto& [epoch, paths] : other.by_epoch_) {
+    auto& mine = by_epoch_[epoch];
+    if (mine.empty())
+      mine.swap(paths);
+    else
+      mine.merge(paths);
+  }
+  other.by_epoch_.clear();
+}
+
 const std::set<std::vector<Asn>>& PathCorpus::paths(int epoch) const {
   static const std::set<std::vector<Asn>> kEmpty;
   auto it = by_epoch_.find(epoch);

@@ -28,6 +28,10 @@ class PathCorpus {
   /// skipped — inference must not learn adjacencies from AS-sets).
   void add_feed(int epoch, const FeedEntry& entry);
 
+  /// Moves every path of `other` into this corpus. Paths are sets, so the
+  /// result does not depend on how a corpus was split or merged.
+  void merge(PathCorpus&& other);
+
   /// All distinct paths recorded for an epoch.
   const std::set<std::vector<Asn>>& paths(int epoch) const;
 

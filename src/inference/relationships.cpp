@@ -11,6 +11,10 @@ std::pair<Asn, Asn> unordered(Asn a, Asn b) {
   return a < b ? std::pair{a, b} : std::pair{b, a};
 }
 
+void insert_sorted(std::vector<Asn>& list, Asn asn) {
+  list.insert(std::lower_bound(list.begin(), list.end(), asn), asn);
+}
+
 }  // namespace
 
 void InferredTopology::set(Asn a, Asn b, InferredRel rel) {
@@ -22,8 +26,10 @@ void InferredTopology::set(Asn a, Asn b, InferredRel rel) {
     else if (rel == InferredRel::kBProviderOfA)
       rel = InferredRel::kAProviderOfB;
   }
-  rel_[key(a, b)] = rel;
-  adj_dirty_ = true;
+  if (rel_.insert_or_assign(key(a, b), rel).second) {
+    insert_sorted(adj_[a], b);
+    insert_sorted(adj_[b], a);
+  }
 }
 
 bool InferredTopology::has_link(Asn a, Asn b) const {
@@ -46,17 +52,7 @@ std::optional<Relationship> InferredTopology::relationship(Asn a,
   IRP_UNREACHABLE("unknown inferred relationship");
 }
 
-void InferredTopology::rebuild_adj() const {
-  adj_.clear();
-  for (const auto& [pair, _] : rel_) {
-    adj_[pair.first].push_back(pair.second);
-    adj_[pair.second].push_back(pair.first);
-  }
-  adj_dirty_ = false;
-}
-
 const std::vector<Asn>& InferredTopology::neighbors(Asn asn) const {
-  if (adj_dirty_) rebuild_adj();
   static const std::vector<Asn> kEmpty;
   auto it = adj_.find(asn);
   return it == adj_.end() ? kEmpty : it->second;

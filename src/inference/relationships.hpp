@@ -42,7 +42,8 @@ class InferredTopology {
   /// absent from the inferred topology.
   std::optional<Relationship> relationship(Asn a, Asn b) const;
 
-  /// Neighbors of an AS.
+  /// Neighbors of an AS, ascending by ASN. A pure read: the lists are kept
+  /// sorted by set(), so concurrent readers of a shared topology are safe.
   const std::vector<Asn>& neighbors(Asn asn) const;
 
   std::size_t num_links() const { return rel_.size(); }
@@ -57,9 +58,7 @@ class InferredTopology {
     return a < b ? std::pair{a, b} : std::pair{b, a};
   }
   std::map<std::pair<Asn, Asn>, InferredRel> rel_;
-  mutable std::map<Asn, std::vector<Asn>> adj_;
-  mutable bool adj_dirty_ = false;
-  void rebuild_adj() const;
+  std::map<Asn, std::vector<Asn>> adj_;  ///< Sorted neighbor lists.
 };
 
 /// Tuning knobs of the per-snapshot inference.

@@ -175,10 +175,12 @@ struct OracleServer::Impl {
   std::atomic<std::uint64_t> bytes_out{0};
   std::array<PerType, kNumQueryTypes> per_type;
 
+  // Counters move before the socket does: a peer that sees the close must
+  // find it counted in stats().
   void close_connection(std::map<std::uint64_t, Connection>::iterator it) {
+    connections_closed.fetch_add(1, std::memory_order_relaxed);
     ::close(it->second.fd);
     connections.erase(it);
-    connections_closed.fetch_add(1, std::memory_order_relaxed);
   }
 
   void queue_frame(Connection& conn, std::string_view frame_bytes) {
@@ -496,8 +498,8 @@ void OracleServer::poll_loop() {
         if (conn_fd < 0) break;
         if (im.connections.size() >=
             static_cast<std::size_t>(config_.max_connections)) {
-          ::close(conn_fd);
           im.connections_refused.fetch_add(1, std::memory_order_relaxed);
+          ::close(conn_fd);
           continue;
         }
         set_nonblocking(conn_fd);

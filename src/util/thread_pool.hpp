@@ -1,9 +1,12 @@
 // A fixed-size worker pool and deterministic parallel loops.
 //
-// This is the parallelism layer behind the passive study's hot paths
-// (per-batch BGP convergence, per-snapshot relationship inference, GR
-// path-set precomputation). Three rules keep parallel runs byte-identical
-// to serial runs:
+// This is the parallelism layer of a study: run_full_study builds one pool
+// and runs every phase on it — per-batch BGP convergence, the
+// measurement-epoch convergence beside per-epoch corpus assembly and
+// relationship inference, GR path-set precomputation, and the three
+// post-passive branches (active experiments, extended model, analyses),
+// whose own loops nest inside. Three rules keep parallel runs
+// byte-identical to serial runs:
 //   * Work is *claimed* dynamically (atomic index counter) but results are
 //     always *consumed* in input order — parallel_map returns outputs at
 //     their input index, and callers merge in that order.
@@ -32,11 +35,11 @@
 
 namespace irp {
 
-/// Thread-count knob shared by every parallel phase of a study.
+/// Thread-count knob of a study's one pool.
 struct ParallelConfig {
-  /// Number of threads for the parallel phases: 1 (default) runs the
-  /// classic serial path, 0 uses one thread per hardware core, any other
-  /// value is taken literally.
+  /// Number of study threads: 1 (default) runs the classic serial path,
+  /// 0 uses one thread per hardware core, any other value is taken
+  /// literally.
   int threads = 1;
 };
 

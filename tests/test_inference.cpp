@@ -2,6 +2,10 @@
 // auxiliary datasets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <thread>
+
 #include "core/passive_study.hpp"
 #include "inference/bgp_observations.hpp"
 #include "inference/hybrid_dataset.hpp"
@@ -43,6 +47,21 @@ TEST(PathCorpus, SkipsPoisonedFeeds) {
   EXPECT_EQ(corpus.epochs(), std::vector<int>{1});
 }
 
+TEST(PathCorpus, MergeEqualsAddingEverythingToOneCorpus) {
+  PathCorpus whole, left, right;
+  for (const auto& [epoch, path] :
+       std::vector<std::pair<int, std::vector<Asn>>>{
+           {0, {1, 2, 3}}, {0, {4, 2}}, {1, {1, 2}}, {2, {5, 6, 7}}}) {
+    whole.add(epoch, path);
+    (path.front() % 2 ? left : right).add(epoch, path);
+  }
+  left.add(0, {4, 2});  // Present on both sides.
+  left.merge(std::move(right));
+  EXPECT_EQ(left.epochs(), whole.epochs());
+  for (int epoch : whole.epochs())
+    EXPECT_EQ(left.paths(epoch), whole.paths(epoch)) << "epoch " << epoch;
+}
+
 TEST(InferredTopology, OrientationIsPerspectiveCorrect) {
   InferredTopology topo;
   // set(5, 2, kAProviderOfB): the first argument (5) is the provider of the
@@ -54,6 +73,45 @@ TEST(InferredTopology, OrientationIsPerspectiveCorrect) {
   EXPECT_FALSE(topo.has_link(2, 6));
   EXPECT_EQ(topo.relationship(2, 6), std::nullopt);
   EXPECT_EQ(topo.neighbors(5), std::vector<Asn>{2});
+}
+
+TEST(InferredTopology, ConcurrentNeighborReadersOnAFreshTopology) {
+  // Links inserted in scrambled order, some relabeled; no read happens
+  // before the four threads start, so a lazily built adjacency would be
+  // filled concurrently (a data race under TSan).
+  InferredTopology topo;
+  constexpr Asn kAses = 300;
+  std::uint64_t x = 12345;
+  for (int i = 0; i < 3000; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    const Asn a = 1 + static_cast<Asn>((x >> 33) % kAses);
+    const Asn b = 1 + static_cast<Asn>((x >> 13) % kAses);
+    if (a != b) topo.set(a, b, static_cast<InferredRel>(i % 3));
+  }
+
+  std::map<Asn, std::vector<Asn>> expected;
+  for (const auto& [pair, rel] : topo.links()) {
+    expected[pair.first].push_back(pair.second);
+    expected[pair.second].push_back(pair.first);
+  }
+  for (auto& [asn, list] : expected) std::sort(list.begin(), list.end());
+
+  std::vector<std::vector<std::vector<Asn>>> seen(4);
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < seen.size(); ++t)
+    readers.emplace_back([&, t] {
+      for (Asn asn = 0; asn <= kAses + 1; ++asn)
+        seen[t].push_back(topo.neighbors(asn));
+    });
+  for (std::thread& r : readers) r.join();
+
+  for (const auto& lists : seen)
+    for (Asn asn = 0; asn <= kAses + 1; ++asn) {
+      const auto it = expected.find(asn);
+      EXPECT_EQ(lists[asn],
+                it == expected.end() ? std::vector<Asn>{} : it->second)
+          << "AS " << asn;
+    }
 }
 
 TEST(Inference, SimpleChainInfersTransit) {

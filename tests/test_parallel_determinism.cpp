@@ -6,10 +6,14 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/analysis.hpp"
 #include "core/report_io.hpp"
+#include "core/study.hpp"
 #include "inference/serialize.hpp"
+#include "serve/oracle_snapshot.hpp"
 #include "test_support.hpp"
 
 namespace irp {
@@ -122,6 +126,55 @@ TEST(ParallelDeterminism, HardwareThreadCountAlsoMatchesSerial) {
   EXPECT_EQ(dump_corpus(serial.corpus), dump_corpus(hw.corpus));
   EXPECT_EQ(dump_decisions(serial), dump_decisions(hw));
   EXPECT_EQ(to_caida_format(serial.inferred), to_caida_format(hw.inferred));
+}
+
+/// Every artifact of a full study, by name: the CSV reports, the extended
+/// model's counts and gains, and the oracle image.
+std::vector<std::pair<std::string, std::string>> study_artifacts(
+    const StudyResults& r) {
+  std::vector<std::pair<std::string, std::string>> out{
+      {"table1", table1_csv(r.table1)},
+      {"figure1", figure1_csv(r.figure1)},
+      {"figure2", figure2_csv(r.skew)},
+      {"figure3", figure3_csv(r.figure3)},
+      {"table3", table3_csv(r.table3)},
+      {"table4", table4_csv(r.table4)},
+      {"psp", psp_csv(r.psp)},
+      {"alternate", alternate_csv(r.alternate)},
+      {"table2", table2_csv(r.table2)},
+  };
+  std::ostringstream extended;
+  for (const CategoryBreakdown* b :
+       {&r.extended.simple, &r.extended.all_refinements, &r.extended.extended}) {
+    for (std::size_t c : b->counts) extended << c << ',';
+    extended << '\n';
+  }
+  extended.precision(17);
+  extended << r.extended.stale_gain << ',' << r.extended.cable_gain;
+  out.emplace_back("extended", extended.str());
+  out.emplace_back("image", snapshot_study(r.passive).to_bytes());
+  return out;
+}
+
+TEST(ParallelDeterminism, FullStudyEqualsSerial) {
+  // The whole study — passive campaign, analyses, extended model and the
+  // active experiments, whose phases overlap on one pool — at 1, 4 and
+  // hardware threads.
+  StudyConfig config;
+  config.generator = test::small_generator_config();
+  config.passive = test::small_passive_config();
+  config.active.traceroute_vantages = 24;
+  config.active.max_targets = 60;
+
+  config.passive.parallel.threads = 1;
+  const auto serial = study_artifacts(run_full_study(config));
+  for (int threads : {4, 0}) {
+    config.passive.parallel.threads = threads;
+    const auto parallel = study_artifacts(run_full_study(config));
+    for (std::size_t i = 0; i < serial.size(); ++i)
+      EXPECT_EQ(serial[i].second, parallel[i].second)
+          << serial[i].first << " at threads=" << threads;
+  }
 }
 
 }  // namespace
