@@ -5,6 +5,10 @@
 //
 //   run_study_cli [--seed N] [--scale N] [--threads N] [--out DIR]
 //                 [--no-active] [--save-topology FILE] [--caida-out FILE]
+//       Prints the paper's tables, then the paper-claims table
+//       (core/paper_claims.hpp): every number the paper reports next to
+//       the reproduction and its band. --no-active skips the claims table,
+//       since a third of its rows come from the active experiments.
 //
 //   run_study_cli snapshot --out FILE [--seed N] [--scale N] [--threads N]
 //       Run the passive study and freeze it into a binary oracle snapshot.
@@ -56,6 +60,7 @@
 #include <string>
 #include <vector>
 
+#include "core/paper_claims.hpp"
 #include "core/report_io.hpp"
 #include "core/study.hpp"
 #include "inference/serialize.hpp"
@@ -523,6 +528,8 @@ int cmd_legacy(int argc, char** argv) {
   std::printf("%s\n", render_figure3(r.figure3).render().c_str());
   std::printf("%s\n", render_table3(r.table3, r.net->world).render().c_str());
   std::printf("%s\n", render_table4(r.table4).render().c_str());
+  if (config.run_active)
+    std::printf("%s\n", render_paper_claims(r).c_str());
 
   if (!out_dir.empty()) {
     const int files = write_all_reports(r, out_dir);

@@ -3,13 +3,10 @@
 // This is the engine as it existed before the interned-path rewrite: every
 // AS path is a full std::vector copy, select() copies a candidate per RIB
 // entry, and per-AS sent state lives in std::map. It is deliberately left
-// byte-for-byte equivalent in behaviour so it can serve two jobs:
-//   * correctness oracle — test_engine_equivalence asserts the production
-//     BgpEngine produces identical feeds, selections, RIBs, and message
-//     counts on generated topologies;
-//   * perf baseline — bench_engine_hotpath reports the production engine's
-//     speedup over this implementation (BENCH_engine.json).
-// Do not optimize this file; optimize bgp/engine.cpp and let the
+// byte-for-byte equivalent in behaviour so it can serve as the correctness
+// oracle: test_engine_equivalence asserts the production BgpEngine produces
+// identical feeds, selections, RIBs, and message counts on generated
+// topologies. Do not optimize this file; optimize bgp/engine.cpp and let the
 // equivalence test keep it honest.
 #pragma once
 

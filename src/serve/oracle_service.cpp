@@ -1,6 +1,8 @@
 #include "serve/oracle_service.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -135,8 +137,15 @@ std::uint64_t LatencyHistogram::count() const {
 double LatencyHistogram::quantile_us(double q) const {
   const std::uint64_t total = count();
   if (total == 0) return 0;
+  // Nearest rank, ceil(q * n). A product within rounding of an integer
+  // counts as that integer: 0.07 * 100 must select the 7th sample, not the
+  // 8th.
+  const double rank = q * double(total);
+  const double nearest = std::round(rank);
+  const double exact =
+      std::abs(rank - nearest) <= 1e-9 * nearest ? nearest : std::ceil(rank);
   const std::uint64_t target =
-      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(q * double(total)));
+      std::clamp<std::uint64_t>(static_cast<std::uint64_t>(exact), 1, total);
   std::uint64_t seen = 0;
   for (int i = 0; i < kBuckets; ++i) {
     seen += buckets_[i].load(std::memory_order_relaxed);

@@ -146,8 +146,9 @@ class LatencyHistogram {
  public:
   void record(std::uint64_t nanos);
   std::uint64_t count() const;
-  /// Approximate quantile in microseconds (upper bound of the bucket that
-  /// crosses `q`); 0 when empty.
+  /// Approximate quantile in microseconds: the upper bound of the bucket
+  /// holding the nearest-rank sample, the ceil(q * n)-th smallest; 0 when
+  /// empty.
   double quantile_us(double q) const;
 
  private:

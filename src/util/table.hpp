@@ -1,6 +1,6 @@
-// Plain-text table rendering for benchmark and example output.
+// Plain-text table rendering for the study's reports and example output.
 //
-// The benchmark harnesses print the same rows the paper's tables report;
+// The CLI and examples print the same rows the paper's tables report;
 // TextTable produces aligned, monospace-friendly output for that purpose.
 #pragma once
 

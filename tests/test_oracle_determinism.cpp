@@ -220,5 +220,22 @@ TEST(OracleStats, HistogramAndCountersTrackServing) {
   EXPECT_LE(cache.entries, cache.capacity);
 }
 
+TEST(OracleStats, HistogramQuantileUsesNearestRank) {
+  // Three samples in three power-of-two buckets, upper bounds 1.024 us,
+  // 8.192 us and 131.072 us.
+  LatencyHistogram h;
+  for (std::uint64_t nanos : {1000u, 5000u, 100000u}) h.record(nanos);
+  EXPECT_DOUBLE_EQ(h.quantile_us(0.99), 131.072);  // ceil(2.97) = 3rd.
+  EXPECT_DOUBLE_EQ(h.quantile_us(0.5), 8.192);     // ceil(1.5) = 2nd.
+  EXPECT_DOUBLE_EQ(h.quantile_us(0.0), 1.024);
+
+  // An integral q * n stays exact: 0.07 * 100 is 7.000000000000001 in
+  // doubles, and p7 of 7 low and 93 high samples is the 7th, a low one.
+  LatencyHistogram h100;
+  for (int i = 0; i < 100; ++i) h100.record(i < 7 ? 1000 : 100000);
+  EXPECT_DOUBLE_EQ(h100.quantile_us(0.07), 1.024);
+  EXPECT_DOUBLE_EQ(h100.quantile_us(0.08), 131.072);
+}
+
 }  // namespace
 }  // namespace irp

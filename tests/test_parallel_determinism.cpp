@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/analysis.hpp"
+#include "core/paper_claims.hpp"
 #include "core/report_io.hpp"
 #include "core/study.hpp"
 #include "inference/serialize.hpp"
@@ -129,7 +130,7 @@ TEST(ParallelDeterminism, HardwareThreadCountAlsoMatchesSerial) {
 }
 
 /// Every artifact of a full study, by name: the CSV reports, the extended
-/// model's counts and gains, and the oracle image.
+/// model's counts and gains, the oracle image and the paper-claims table.
 std::vector<std::pair<std::string, std::string>> study_artifacts(
     const StudyResults& r) {
   std::vector<std::pair<std::string, std::string>> out{
@@ -153,6 +154,7 @@ std::vector<std::pair<std::string, std::string>> study_artifacts(
   extended << r.extended.stale_gain << ',' << r.extended.cable_gain;
   out.emplace_back("extended", extended.str());
   out.emplace_back("image", snapshot_study(r.passive).to_bytes());
+  out.emplace_back("claims", render_paper_claims(r));
   return out;
 }
 

@@ -5,8 +5,8 @@
 # run_study_cli command lines inside fenced code blocks, then verifies that
 # every mentioned path exists in the tree and every mentioned subcommand and
 # --flag is actually accepted by examples/run_study_cli.cpp. Registered as
-# the `docs_check` ctest and run at the end of bench/run_benches.sh, so a
-# renamed file or flag fails CI the moment a doc still mentions the old name.
+# the `docs_check` ctest, so a renamed file or flag fails CI the moment a
+# doc still mentions the old name.
 #
 # Usage: tools/check_docs.sh   (from anywhere; resolves the repo root itself)
 set -eu
@@ -26,10 +26,10 @@ fail() {
 # -- 1. Every repo-relative path mentioned in the docs must exist.
 #
 # Tokens are classified by shape:
-#   src|tests|bench|examples|docs|tools/...ext  -> file must exist
+#   src|tests|examples|docs|tools/...ext        -> file must exist
 #   src/<module>                                -> directory must exist
 #   <module>/<name>.hpp (include-style)         -> src/<token> must exist
-#   examples|bench/<name> or build/<same>       -> <name>.cpp must exist
+#   examples/<name> or build/examples/<name>    -> <name>.cpp must exist
 #   UPPER.md                                    -> file must exist
 tokens=$(grep -ohE "[A-Za-z0-9_./-]+" $docs | sort -u)
 
@@ -38,7 +38,7 @@ for tok in $tokens; do
     */) continue ;;  # Bare directory references like `examples/`.
   esac
   case $tok in
-    src/*.hpp | src/*.cpp | tests/*.cpp | bench/*.sh | tools/*.sh | docs/*.md)
+    src/*.hpp | src/*.cpp | tests/*.cpp | tools/*.sh | docs/*.md)
       [ -f "$tok" ] || fail "missing file mentioned in docs: $tok" ;;
     src/util | src/net | src/geo | src/topo | src/bgp | src/dataplane | \
     src/inference | src/core | src/serve)
@@ -46,7 +46,7 @@ for tok in $tokens; do
     README.md | DESIGN.md | EXPERIMENTS.md | ROADMAP.md | CHANGES.md | \
     PAPER.md | PAPERS.md | SNIPPETS.md)
       [ -f "$tok" ] || fail "missing document mentioned in docs: $tok" ;;
-    examples/* | bench/bench_*)
+    examples/*)
       # Binary names: the matching source must exist.
       base=${tok#build/}
       case $base in
@@ -55,7 +55,7 @@ for tok in $tokens; do
         */*) [ -f "$base.cpp" ] || \
                fail "docs mention binary '$tok' but $base.cpp does not exist" ;;
       esac ;;
-    build/examples/* | build/bench/bench_*)
+    build/examples/*)
       base=${tok#build/}
       case $base in
         */*.*) ;;
