@@ -43,16 +43,6 @@ std::size_t ClassifyKeyHash::operator()(const ClassifyKey& k) const {
   return static_cast<std::size_t>(h);
 }
 
-ClassifyCache::ClassifyCache(std::size_t capacity, std::size_t shards)
-    : capacity_(capacity) {
-  if (shards == 0) shards = 1;
-  if (capacity > 0 && shards > capacity) shards = capacity;
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i)
-    shards_.push_back(std::make_unique<Shard>());
-  per_shard_capacity_ = capacity == 0 ? 0 : std::max<std::size_t>(1, capacity / shards);
-}
-
 void ClassifyCache::trim_locked(Shard& shard, std::size_t bound) {
   while (shard.lru.size() > bound) {
     shard.map.erase(shard.lru.back().first);
@@ -62,27 +52,27 @@ void ClassifyCache::trim_locked(Shard& shard, std::size_t bound) {
 }
 
 void ClassifyCache::set_capacity(std::size_t capacity) {
-  const std::size_t shards = shards_.size();
-  const std::size_t per_shard =
-      capacity == 0 ? 0 : std::max<std::size_t>(1, capacity / shards);
   capacity_.store(capacity, std::memory_order_relaxed);
-  per_shard_capacity_.store(per_shard, std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    trim_locked(*shard, per_shard);
+  for (std::size_t i = 0; i < kShards; ++i) {
+    Shard& shard = shards_[i];
+    const std::size_t bound =
+        capacity / kShards + (i < capacity % kShards ? 1 : 0);
+    shard.bound.store(bound, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    trim_locked(shard, bound);
   }
 }
 
 ClassifyCache::Shard& ClassifyCache::shard_for(const ClassifyKey& key) {
-  return *shards_[ClassifyKeyHash{}(key) % shards_.size()];
+  return shards_[ClassifyKeyHash{}(key) % kShards];
 }
 
 std::optional<DecisionCategory> ClassifyCache::get(const ClassifyKey& key) {
-  if (per_shard_capacity_.load(std::memory_order_relaxed) == 0) {
+  Shard& shard = shard_for(key);
+  if (shard.bound.load(std::memory_order_relaxed) == 0) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
   if (it == shard.map.end()) {
@@ -95,10 +85,8 @@ std::optional<DecisionCategory> ClassifyCache::get(const ClassifyKey& key) {
 }
 
 void ClassifyCache::put(const ClassifyKey& key, DecisionCategory value) {
-  const std::size_t bound =
-      per_shard_capacity_.load(std::memory_order_relaxed);
-  if (bound == 0) return;
   Shard& shard = shard_for(key);
+  if (shard.bound.load(std::memory_order_relaxed) == 0) return;
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
   if (it != shard.map.end()) {
@@ -108,7 +96,8 @@ void ClassifyCache::put(const ClassifyKey& key, DecisionCategory value) {
   }
   shard.lru.emplace_front(key, value);
   shard.map.emplace(key, shard.lru.begin());
-  trim_locked(shard, bound);
+  // Re-read under the lock: a concurrent set_capacity() may have lowered it.
+  trim_locked(shard, shard.bound.load(std::memory_order_relaxed));
 }
 
 ClassifyCache::Stats ClassifyCache::stats() const {
@@ -116,28 +105,19 @@ ClassifyCache::Stats ClassifyCache::stats() const {
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.capacity = capacity_.load(std::memory_order_relaxed);
-  s.shards = shards_.size();
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    s.entries += shard->map.size();
-    s.evictions += shard->evictions;
+  s.shards = kShards;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    s.entries += shard.map.size();
+    s.evictions += shard.evictions;
   }
   return s;
 }
 
 OracleIndex::OracleIndex(const OracleSnapshot* snapshot,
-                         OracleIndexConfig config)
-    : OracleIndex(snapshot, nullptr, config) {}
-
-OracleIndex::OracleIndex(const OracleSnapshot* snapshot,
-                         const PathTable* shared_paths,
-                         OracleIndexConfig config)
-    : snap_(snapshot),
-      paths_(shared_paths),
-      route_shards_(std::max<std::size_t>(1, config.route_shards)),
-      cache_(config.cache_capacity, config.cache_shards) {
+                         const PathTable& arena)
+    : snap_(snapshot), paths_(&arena) {
   IRP_CHECK(snap_ != nullptr, "oracle index requires a snapshot");
-  if (paths_ == nullptr) paths_ = &snap_->paths;
 
   // Rebuild the study views. Insertion through the same public mutators the
   // live pipeline uses guarantees the materialized state is identical to the
@@ -156,10 +136,9 @@ OracleIndex::OracleIndex(const OracleSnapshot* snapshot,
   classifier_ = std::make_unique<DecisionClassifier>(
       &topo_, snap_->num_ases, &hybrid_, &siblings_, &observations_);
 
+  routes_.reserve(snap_->routes.size());
   for (const OracleSnapshot::PrefixRoutes& pr : snap_->routes) {
-    RouteShard& shard =
-        route_shards_[Ipv4PrefixHash{}(pr.prefix) % route_shards_.size()];
-    const bool inserted = shard.by_prefix.emplace(pr.prefix, &pr).second;
+    const bool inserted = routes_.emplace(pr.prefix, &pr).second;
     IRP_CHECK(inserted, "oracle snapshot has duplicate prefix route blocks");
   }
 }
@@ -175,10 +154,8 @@ DecisionCategory OracleIndex::classify(const RouteDecision& d,
 
 const OracleSnapshot::PrefixRoutes* OracleIndex::prefix_routes(
     const Ipv4Prefix& prefix) const {
-  const RouteShard& shard =
-      route_shards_[Ipv4PrefixHash{}(prefix) % route_shards_.size()];
-  auto it = shard.by_prefix.find(prefix);
-  return it == shard.by_prefix.end() ? nullptr : it->second;
+  auto it = routes_.find(prefix);
+  return it == routes_.end() ? nullptr : it->second;
 }
 
 const OracleSnapshot::RouteEntry* OracleIndex::route(

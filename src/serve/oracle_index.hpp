@@ -1,22 +1,24 @@
-// RouteOracle read layer: sharded indexes and cached evaluation over a
-// loaded snapshot.
+// RouteOracle read layer: one study's read-only index and cached evaluation
+// over a loaded snapshot.
 //
 // OracleIndex materializes the study datasets (inferred topology, siblings,
 // hybrid, observations) back out of the flat snapshot arrays and drives a
 // DecisionClassifier over them, so a query against a snapshot reuses exactly
 // the classification semantics of the offline study (§4.1-§4.3). Route
-// lookups go through a sharded hash index keyed by prefix, then binary
-// search by ASN inside the prefix block; everything is read-only after
-// construction, so concurrent queries need no locks on the index itself.
+// lookups go through one hash map keyed by prefix, then binary search by ASN
+// inside the prefix block; everything is read-only after construction, so
+// concurrent queries need no locks on the index itself. StudyCatalog builds
+// one index per study and owns its cache quota.
 //
 // ClassifyCache is the one mutable piece: a bounded, sharded LRU over final
 // classification results. Shards are independently locked, so concurrent
-// classify queries only contend when they hash to the same shard; capacity
-// is enforced per shard (capacity/shards each) and eviction is plain LRU.
+// classify queries only contend when they hash to the same shard; the
+// per-shard bounds sum to the capacity exactly and eviction is plain LRU.
 // Cached values are deterministic functions of the key, so the cache never
 // changes an answer — only its latency.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <list>
@@ -24,7 +26,6 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "core/classify.hpp"
 #include "serve/oracle_snapshot.hpp"
@@ -69,9 +70,12 @@ class ClassifyCache {
     }
   };
 
-  /// `capacity` is the total entry budget, split evenly over `shards`.
-  /// capacity == 0 disables the cache (every get misses, puts are dropped).
-  ClassifyCache(std::size_t capacity, std::size_t shards);
+  /// Lock-striping: concurrent classify queries only contend when their
+  /// keys hash to the same shard.
+  static constexpr std::size_t kShards = 8;
+
+  /// Starts disabled (capacity 0); set_capacity() gives it a budget.
+  ClassifyCache() = default;
 
   ClassifyCache(const ClassifyCache&) = delete;
   ClassifyCache& operator=(const ClassifyCache&) = delete;
@@ -80,8 +84,9 @@ class ClassifyCache {
   void put(const ClassifyKey& key, DecisionCategory value);
   Stats stats() const;
 
-  /// Re-budgets the cache in place: the new total is split over the existing
-  /// shards and each shard's LRU tail is trimmed to the new per-shard bound.
+  /// Re-budgets the cache in place: the total is split over the shards so
+  /// that their bounds sum to it exactly (the first capacity % kShards get
+  /// one entry more), and each shard's LRU tail is trimmed to its new bound.
   /// Thread-safe against concurrent get/put; capacity 0 disables the cache
   /// (and drops everything cached). StudyCatalog uses this to move quota
   /// between studies sharing one budget.
@@ -92,7 +97,9 @@ class ClassifyCache {
 
  private:
   struct Shard {
-    std::mutex mu;
+    /// Entry bound; 0 makes every get on this shard miss without locking.
+    std::atomic<std::size_t> bound{0};
+    mutable std::mutex mu;
     /// Front = most recently used.
     std::list<std::pair<ClassifyKey, DecisionCategory>> lru;
     std::unordered_map<ClassifyKey, decltype(lru)::iterator, ClassifyKeyHash>
@@ -103,32 +110,21 @@ class ClassifyCache {
   Shard& shard_for(const ClassifyKey& key);
   static void trim_locked(Shard& shard, std::size_t bound);
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::size_t> per_shard_capacity_{0};
+  std::array<Shard, kShards> shards_;
   std::atomic<std::size_t> capacity_{0};
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
 };
 
-struct OracleIndexConfig {
-  std::size_t route_shards = 8;    ///< Prefix-hash shards of the route index.
-  std::size_t cache_capacity = 4096;  ///< Total classify-cache entries.
-  std::size_t cache_shards = 8;
-};
-
-/// Read-only query index over one snapshot. Thread-safe after construction;
-/// the snapshot must outlive the index.
+/// Read-only query index over one snapshot. Thread-safe after construction.
 class OracleIndex {
  public:
-  explicit OracleIndex(const OracleSnapshot* snapshot,
-                       OracleIndexConfig config = {});
-
-  /// Multi-study form: `shared_paths` (when non-null) overrides the
-  /// snapshot's own path table as the arena behind paths() — the snapshot's
-  /// route entries must already hold PathIds of that arena (StudyCatalog
-  /// remaps them on load). The arena must outlive the index.
-  OracleIndex(const OracleSnapshot* snapshot, const PathTable* shared_paths,
-              OracleIndexConfig config);
+  /// `arena` is the path table behind paths(): the snapshot's route entries
+  /// must hold PathIds of it (StudyCatalog remaps them into its shared arena
+  /// on load; a standalone index passes `snapshot->paths`). The snapshot and
+  /// the arena must outlive the index. The classify cache starts disabled
+  /// (capacity 0) until set_cache_capacity() gives it a quota.
+  OracleIndex(const OracleSnapshot* snapshot, const PathTable& arena);
 
   OracleIndex(const OracleIndex&) = delete;
   OracleIndex& operator=(const OracleIndex&) = delete;
@@ -143,7 +139,7 @@ class OracleIndex {
   std::size_t num_ases() const { return snap_->num_ases; }
 
   /// Classification with DecisionClassifier semantics, memoized through the
-  /// sharded LRU. Deterministic: cache state never changes the answer.
+  /// classify cache. Deterministic: cache state never changes the answer.
   DecisionCategory classify(const RouteDecision& d,
                             const ScenarioOptions& opts) const;
 
@@ -163,18 +159,8 @@ class OracleIndex {
   void set_cache_capacity(std::size_t capacity) const {
     cache_.set_capacity(capacity);
   }
-  std::size_t num_route_shards() const { return route_shards_.size(); }
-  std::size_t shard_entries(std::size_t shard) const {
-    return route_shards_[shard].by_prefix.size();
-  }
 
  private:
-  struct RouteShard {
-    std::unordered_map<Ipv4Prefix, const OracleSnapshot::PrefixRoutes*,
-                       Ipv4PrefixHash>
-        by_prefix;
-  };
-
   const OracleSnapshot* snap_;
   const PathTable* paths_;
   InferredTopology topo_;
@@ -182,7 +168,9 @@ class OracleIndex {
   HybridDataset hybrid_;
   BgpObservations observations_;
   std::unique_ptr<DecisionClassifier> classifier_;
-  std::vector<RouteShard> route_shards_;
+  std::unordered_map<Ipv4Prefix, const OracleSnapshot::PrefixRoutes*,
+                     Ipv4PrefixHash>
+      routes_;
   mutable ClassifyCache cache_;
 };
 

@@ -157,27 +157,12 @@ double LatencyHistogram::quantile_us(double q) const {
   return 0;
 }
 
-OracleService::OracleService(const OracleIndex* index, Config config)
-    : index_(index), catalog_(nullptr), config_(config) {
-  IRP_CHECK(index_ != nullptr, "oracle service requires an index");
-  IRP_CHECK(config_.worker_threads >= 0, "worker_threads must be >= 0");
-  IRP_CHECK(config_.queue_capacity > 0, "queue_capacity must be positive");
-  study_counters_.push_back(std::make_unique<TypeCounters>());
-  workers_.reserve(static_cast<std::size_t>(config_.worker_threads));
-  for (int i = 0; i < config_.worker_threads; ++i)
-    workers_.emplace_back([this] { worker_main(); });
-}
-
-OracleService::OracleService(const OracleIndex* index)
-    : OracleService(index, Config{}) {}
-
 OracleService::OracleService(const StudyCatalog* catalog, Config config)
-    : index_(nullptr), catalog_(catalog), config_(config) {
+    : catalog_(catalog), config_(config) {
   IRP_CHECK(catalog_ != nullptr, "oracle service requires a catalog");
   IRP_CHECK(catalog_->size() > 0, "oracle service catalog holds no studies");
   IRP_CHECK(config_.worker_threads >= 0, "worker_threads must be >= 0");
   IRP_CHECK(config_.queue_capacity > 0, "queue_capacity must be positive");
-  index_ = catalog_->default_study()->index.get();
   for (std::size_t i = 0; i < catalog_->size(); ++i)
     study_counters_.push_back(std::make_unique<TypeCounters>());
   workers_.reserve(static_cast<std::size_t>(config_.worker_threads));
@@ -189,20 +174,10 @@ OracleService::~OracleService() { shutdown(); }
 
 const OracleIndex* OracleService::resolve(std::string_view study,
                                           std::uint32_t* ordinal) const {
-  if (catalog_ == nullptr) {
-    // Single-index mode hosts exactly one anonymous study.
-    if (!study.empty()) return nullptr;
-    *ordinal = 0;
-    return index_;
-  }
   const StudyCatalog::Study* found = catalog_->find(study);
   if (found == nullptr) return nullptr;
   *ordinal = found->ordinal;
   return found->index.get();
-}
-
-OracleResponse OracleService::answer(const OracleRequest& request) const {
-  return std::visit(Evaluator{index_}, request);
 }
 
 OracleResponse OracleService::answer(const OracleRequest& request,
@@ -236,7 +211,7 @@ void OracleService::serve_one(Pending& pending) {
     outcome = std::current_exception();
   }
   pending.done(std::move(outcome));
-  if (config_.cache_rebalance_every > 0 && catalog_ != nullptr) {
+  if (config_.cache_rebalance_every > 0) {
     const std::uint64_t served =
         served_total_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (served % config_.cache_rebalance_every == 0)
@@ -256,10 +231,6 @@ void OracleService::worker_main() {
     }
     serve_one(pending);
   }
-}
-
-OracleService::Submitted OracleService::submit(OracleRequest request) {
-  return submit(std::move(request), std::string_view{});
 }
 
 OracleService::Submitted OracleService::submit(OracleRequest request,
@@ -360,12 +331,8 @@ OracleStatsView OracleService::stats() const {
   view.per_study.reserve(study_counters_.size());
   for (std::size_t i = 0; i < study_counters_.size(); ++i) {
     OracleStatsView::PerStudy per;
-    if (catalog_ != nullptr) {
-      per.name = catalog_->studies()[i]->name;
-      per.cache = catalog_->studies()[i]->index->cache_stats();
-    } else {
-      per.cache = index_->cache_stats();
-    }
+    per.name = catalog_->studies()[i]->name;
+    per.cache = catalog_->studies()[i]->index->cache_stats();
     const TypeCounters& c = *study_counters_[i];
     per.served = c.served.load(std::memory_order_relaxed);
     per.rejected = c.rejected.load(std::memory_order_relaxed);
@@ -374,20 +341,16 @@ OracleStatsView OracleService::stats() const {
     view.per_study.push_back(std::move(per));
   }
 
-  if (catalog_ == nullptr) {
-    view.cache = index_->cache_stats();
-  } else {
-    // Aggregate across studies; the capacity reported is the shared budget,
-    // not the sum of the (rebalancing) per-study quotas.
-    for (const OracleStatsView::PerStudy& per : view.per_study) {
-      view.cache.hits += per.cache.hits;
-      view.cache.misses += per.cache.misses;
-      view.cache.evictions += per.cache.evictions;
-      view.cache.entries += per.cache.entries;
-      view.cache.shards += per.cache.shards;
-    }
-    view.cache.capacity = catalog_->cache_budget().total_capacity;
+  // Aggregate across studies; the capacity reported is the shared budget,
+  // not the sum of the (rebalancing) per-study quotas.
+  for (const OracleStatsView::PerStudy& per : view.per_study) {
+    view.cache.hits += per.cache.hits;
+    view.cache.misses += per.cache.misses;
+    view.cache.evictions += per.cache.evictions;
+    view.cache.entries += per.cache.entries;
+    view.cache.shards += per.cache.shards;
   }
+  view.cache.capacity = catalog_->cache_budget().total_capacity;
   return view;
 }
 

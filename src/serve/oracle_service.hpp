@@ -26,9 +26,12 @@
 //     order on the calling thread. test_oracle_determinism proves the two
 //     modes produce byte-identical answers for the same query stream.
 //
-// Every answer is a pure function of the (immutable) index, so responses
-// are deterministic regardless of worker count, interleaving, or cache
-// state; timing-dependent values live only in OracleStatsView.
+// The service always serves a StudyCatalog: a request names a study ("" is
+// the default, first-loaded one), resolved at submit time; one study is a
+// catalog of one. Every answer is a pure function of the study's (immutable)
+// index, so responses are deterministic regardless of worker count,
+// interleaving, or cache state; timing-dependent values live only in
+// OracleStatsView.
 //
 // Remote access: serve/oracle_server.hpp exposes this service over TCP via
 // the OracleWire protocol (serve/wire.hpp, spec in docs/PROTOCOL.md) with
@@ -173,8 +176,7 @@ struct OracleStatsView {
     ClassifyCache::Stats cache;
   };
   std::array<PerType, kNumQueryTypes> per_type{};
-  /// One entry per hosted study (single-index services report one unnamed
-  /// entry); ordered by load order, [0] is the default study.
+  /// One entry per hosted study, in load order; [0] is the default study.
   std::vector<PerStudy> per_study;
   std::uint64_t served = 0;
   std::uint64_t rejected = 0;
@@ -185,9 +187,9 @@ struct OracleStatsView {
   ClassifyCache::Stats cache;
 };
 
-/// Concurrent query server over one OracleIndex or a multi-study
-/// StudyCatalog (one shared admission queue and worker pool either way;
-/// requests carry an optional study id routed at submit time).
+/// Concurrent query server over a StudyCatalog (one shared admission queue
+/// and worker pool for every study; requests carry an optional study id
+/// routed at submit time).
 class OracleService {
  public:
   struct Config {
@@ -196,14 +198,12 @@ class OracleService {
     /// Admission-control bound: submit() rejects once this many requests
     /// are queued (in-flight requests do not count).
     std::size_t queue_capacity = 1024;
-    /// Catalog mode only: every this-many served requests the shared
-    /// classify-cache budget is rebalanced by per-study hit rates
-    /// (StudyCatalog::rebalance_cache). 0 disables periodic rebalancing.
+    /// Every this-many served requests the shared classify-cache budget is
+    /// rebalanced by per-study hit rates (StudyCatalog::rebalance_cache).
+    /// 0 disables periodic rebalancing.
     std::uint64_t cache_rebalance_every = 0;
   };
 
-  OracleService(const OracleIndex* index, Config config);
-  explicit OracleService(const OracleIndex* index);
   /// Serves every study in `catalog` (which must be fully loaded and must
   /// outlive the service); "" routes to the catalog's default study.
   OracleService(const StudyCatalog* catalog, Config config);
@@ -245,18 +245,13 @@ class OracleService {
     Reject reject = Reject::kNone;
   };
 
-  /// Enqueues a query against the default study; never blocks.
-  Submitted submit(OracleRequest request);
-
   /// Future-returning form of the completion submit() above.
   Submitted submit(OracleRequest request, std::string_view study);
 
-  /// Evaluates a query synchronously on the calling thread (bypasses the
-  /// queue; same deterministic answer the workers would produce).
-  OracleResponse answer(const OracleRequest& request) const;
-
-  /// Synchronous evaluation against study `study` ("" = default); throws
-  /// UnknownStudyError for ids the service does not host.
+  /// Evaluates a query against study `study` ("" = default) synchronously on
+  /// the calling thread (bypasses the queue; same deterministic answer the
+  /// workers would produce). Throws UnknownStudyError for ids the service
+  /// does not host.
   OracleResponse answer(const OracleRequest& request,
                         std::string_view study) const;
 
@@ -297,8 +292,7 @@ class OracleService {
   void serve_one(Pending& pending);
   void worker_main();
 
-  const OracleIndex* index_;           ///< Default study's index.
-  const StudyCatalog* catalog_;        ///< nullptr in single-index mode.
+  const StudyCatalog* catalog_;
   Config config_;
 
   mutable std::mutex mu_;
@@ -309,8 +303,8 @@ class OracleService {
   std::vector<std::thread> workers_;
 
   mutable std::array<TypeCounters, kNumQueryTypes> counters_;
-  /// One slot per study (slot 0 in single-index mode); heap-allocated
-  /// because the atomics are not movable.
+  /// One slot per study; heap-allocated because the atomics are not
+  /// movable.
   std::vector<std::unique_ptr<TypeCounters>> study_counters_;
   mutable std::atomic<std::uint64_t> unknown_study_{0};
   std::atomic<std::uint64_t> served_total_{0};

@@ -58,12 +58,9 @@ const StudyCatalog::Study& StudyCatalog::add_study(std::string name,
   study->snapshot = std::move(snapshot);
   merge_paths_into_arena(study->snapshot, arena_);
 
-  OracleIndexConfig index_config;
-  index_config.route_shards = config_.route_shards;
-  index_config.cache_shards = config_.cache_shards;
-  index_config.cache_capacity = 0;  // Budgeted below, across all studies.
-  study->index = std::make_unique<OracleIndex>(&study->snapshot, &arena_,
-                                               index_config);
+  // The index's cache starts disabled; it is budgeted below, across all
+  // studies.
+  study->index = std::make_unique<OracleIndex>(&study->snapshot, arena_);
   studies_.push_back(std::move(study));
 
   // A new study resets every quota to an even split; rebalance_cache() will
@@ -111,7 +108,7 @@ void StudyCatalog::rebalance_cache() const {
   // The floor cannot exceed an even split, or N floors would overshoot the
   // budget on their own.
   const std::size_t floor =
-      std::min(config_.min_study_cache_quota, total / studies_.size());
+      std::min(kMinStudyCacheQuota, total / studies_.size());
   const std::size_t spread = total - floor * studies_.size();
 
   std::vector<double> weight(studies_.size(), 0.0);

@@ -1,11 +1,11 @@
-// StudyCatalog: many frozen studies behind one serving endpoint.
+// StudyCatalog: the frozen studies one RouteOracle endpoint serves.
 //
 // The paper's passive study is re-run across seeds, scenarios, and snapshot
-// epochs (§3.1, §4); comparing those runs used to mean one RouteOracle
-// process per snapshot. A catalog loads N OracleSnapshot images, tags each
-// with a study id, and exposes one OracleIndex per study so a single
-// OracleService (and a single TCP endpoint) can answer queries against any
-// of them. Two resources are deliberately shared across studies:
+// epochs (§3.1, §4). A catalog loads N >= 1 OracleSnapshot images, tags each
+// with a study id, and exposes one OracleIndex per study; OracleService
+// always serves a catalog, so a single study is a catalog of one and a
+// single TCP endpoint can answer queries against any loaded study. Two
+// resources are deliberately shared across studies:
 //
 //   * One path-table arena. Snapshot epochs of the same topology intern
 //     nearly identical AS-path trees; on load every study's paths are
@@ -18,7 +18,7 @@
 //     budget is a catalog-level constant: quotas start as an even split and
 //     rebalance_cache() re-weights them by observed per-study hit rates, so
 //     a hot epoch absorbs budget from cold ones without any study dropping
-//     below a configured floor.
+//     below kMinStudyCacheQuota.
 //
 // Identity: a study id is "<name>@<fnv1a64 of the snapshot image>" — the
 // operator-supplied name makes it addressable, the content checksum makes
@@ -59,20 +59,19 @@ class UnknownStudyError : public CheckError {
 
 struct StudyCatalogConfig {
   /// Total classify-cache entries shared by every study in the catalog
-  /// (the per-study OracleIndexConfig::cache_capacity is derived from this,
-  /// never set directly). 0 disables caching for all studies.
+  /// (each study's quota is derived from this, never set directly). 0
+  /// disables caching for all studies.
   std::size_t total_cache_capacity = 8192;
-  /// No study's quota falls below this floor during rebalancing (clamped to
-  /// an even split when total/N is smaller).
-  std::size_t min_study_cache_quota = 64;
-  std::size_t cache_shards = 8;
-  std::size_t route_shards = 8;
 };
 
 /// Immutable-after-load collection of studies sharing one path arena and one
 /// classify-cache budget.
 class StudyCatalog {
  public:
+  /// No study's quota falls below this floor during rebalancing (clamped to
+  /// an even split when total/N is smaller).
+  static constexpr std::size_t kMinStudyCacheQuota = 64;
+
   struct Study {
     std::string name;  ///< Operator-supplied; unique within the catalog.
     std::string id;    ///< "<name>@<16-hex content checksum>".

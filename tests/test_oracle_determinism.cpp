@@ -16,50 +16,14 @@
 #include <string>
 #include <vector>
 
-#include "serve/oracle_service.hpp"
-#include "test_support.hpp"
+#include "oracle_fixture.hpp"
 
 namespace irp {
 namespace {
 
-struct OracleFixture {
-  std::unique_ptr<GeneratedInternet> net;
-  PassiveDataset passive;
-  OracleSnapshot snapshot;
-  std::unique_ptr<OracleIndex> index;
-  std::vector<OracleRequest> queries;
-};
+using test::OracleFixture;
 
-const OracleFixture& fixture() {
-  static const OracleFixture fx = [] {
-    OracleFixture f;
-    f.net = generate_internet(test::small_generator_config());
-    f.passive = run_passive_study(*f.net, test::small_passive_config());
-    f.snapshot = snapshot_study(f.passive);
-    f.index = std::make_unique<OracleIndex>(&f.snapshot);
-
-    // A mixed stream touching all four query classes, derived
-    // deterministically from the study itself.
-    const auto& decisions = f.passive.decisions;
-    const auto scenarios = figure1_scenarios();
-    for (std::size_t i = 0; i < decisions.size(); ++i) {
-      const RouteDecision& d = decisions[i];
-      ClassifyRequest classify;
-      classify.decision = d;
-      classify.scenario = scenarios[i % scenarios.size()].options;
-      f.queries.emplace_back(classify);
-      if (i % 3 == 0)
-        f.queries.emplace_back(AlternateRoutesRequest{d.decider, d.dst_prefix});
-      if (i % 5 == 0)
-        f.queries.emplace_back(
-            PspVisibilityRequest{d.dest_asn, d.next_hop, d.dst_prefix});
-      if (i % 7 == 0)
-        f.queries.emplace_back(RelationshipLookupRequest{d.decider, d.next_hop});
-    }
-    return f;
-  }();
-  return fx;
-}
+const OracleFixture& fixture() { return test::oracle_fixture(); }
 
 /// Serves the whole stream on `workers` threads and renders every response
 /// (in submission order) into one string.
@@ -68,12 +32,12 @@ std::string run_stream(int workers) {
   OracleService::Config config;
   config.worker_threads = workers;
   config.queue_capacity = f.queries.size() + 1;
-  OracleService service(f.index.get(), config);
+  OracleService service(f.catalog.get(), config);
 
   std::vector<OracleService::Submitted> submitted;
   submitted.reserve(f.queries.size());
   for (const OracleRequest& request : f.queries)
-    submitted.push_back(service.submit(request));
+    submitted.push_back(service.submit(request, ""));
   if (workers == 0) service.drain();
 
   std::string rendered;
@@ -103,11 +67,12 @@ TEST(OracleDeterminism, AnswerBypassMatchesWorkerPath) {
   OracleService::Config config;
   config.worker_threads = 1;
   config.queue_capacity = f.queries.size();
-  OracleService service(f.index.get(), config);
+  OracleService service(f.catalog.get(), config);
   for (std::size_t i = 0; i < 50 && i < f.queries.size(); ++i) {
-    OracleService::Submitted s = service.submit(f.queries[i]);
+    OracleService::Submitted s = service.submit(f.queries[i], "");
     ASSERT_TRUE(s.accepted);
-    EXPECT_EQ(to_text(s.response.get()), to_text(service.answer(f.queries[i])));
+    EXPECT_EQ(to_text(s.response.get()),
+              to_text(service.answer(f.queries[i], "")));
   }
 }
 
@@ -118,11 +83,11 @@ TEST(OracleBackpressure, DeterministicModeRejectsExactOverflow) {
   OracleService::Config config;
   config.worker_threads = 0;  // Nothing drains until we say so.
   config.queue_capacity = kCapacity;
-  OracleService service(f.index.get(), config);
+  OracleService service(f.catalog.get(), config);
 
   std::vector<OracleService::Submitted> submitted;
   for (std::size_t i = 0; i < kSubmitted; ++i)
-    submitted.push_back(service.submit(f.queries[i % f.queries.size()]));
+    submitted.push_back(service.submit(f.queries[i % f.queries.size()], ""));
 
   std::size_t accepted = 0;
   for (std::size_t i = 0; i < submitted.size(); ++i) {
@@ -145,7 +110,7 @@ TEST(OracleBackpressure, DeterministicModeRejectsExactOverflow) {
   EXPECT_EQ(stats.served, kCapacity);
 
   // Capacity freed: submission works again.
-  EXPECT_TRUE(service.submit(f.queries[0]).accepted);
+  EXPECT_TRUE(service.submit(f.queries[0], "").accepted);
 }
 
 TEST(OracleBackpressure, BurstAgainstWorkersShedsButNeverStalls) {
@@ -153,12 +118,13 @@ TEST(OracleBackpressure, BurstAgainstWorkersShedsButNeverStalls) {
   OracleService::Config config;
   config.worker_threads = 2;
   config.queue_capacity = 16;
-  OracleService service(f.index.get(), config);
+  OracleService service(f.catalog.get(), config);
 
   std::vector<std::future<OracleResponse>> accepted;
   std::size_t rejected = 0;
   for (std::size_t i = 0; i < 500; ++i) {
-    OracleService::Submitted s = service.submit(f.queries[i % f.queries.size()]);
+    OracleService::Submitted s =
+        service.submit(f.queries[i % f.queries.size()], "");
     if (s.accepted)
       accepted.push_back(std::move(s.response));
     else
@@ -178,29 +144,29 @@ TEST(OracleBackpressure, ShutdownServesAcceptedWorkThenRejects) {
   OracleService::Config config;
   config.worker_threads = 2;
   config.queue_capacity = 64;
-  auto service = std::make_unique<OracleService>(f.index.get(), config);
+  auto service = std::make_unique<OracleService>(f.catalog.get(), config);
 
   std::vector<std::future<OracleResponse>> accepted;
   for (std::size_t i = 0; i < 64; ++i) {
     OracleService::Submitted s =
-        service->submit(f.queries[i % f.queries.size()]);
+        service->submit(f.queries[i % f.queries.size()], "");
     if (s.accepted) accepted.push_back(std::move(s.response));
   }
   service->shutdown();
   // Accepted-implies-answered holds across shutdown.
   for (auto& future : accepted) (void)future.get();
   // After shutdown, everything is shed.
-  EXPECT_FALSE(service->submit(f.queries[0]).accepted);
+  EXPECT_FALSE(service->submit(f.queries[0], "").accepted);
   service.reset();  // Destructor after explicit shutdown is a no-op.
 }
 
 TEST(OracleStats, HistogramAndCountersTrackServing) {
   const OracleFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{0, 4096});
+  OracleService service(f.catalog.get(), OracleService::Config{0, 4096});
   constexpr std::size_t kN = 200;
   std::vector<OracleService::Submitted> submitted;
   for (std::size_t i = 0; i < kN; ++i)
-    submitted.push_back(service.submit(f.queries[i % f.queries.size()]));
+    submitted.push_back(service.submit(f.queries[i % f.queries.size()], ""));
   service.drain();
 
   const OracleStatsView stats = service.stats();

@@ -32,81 +32,20 @@
 #include <thread>
 #include <vector>
 
+#include "oracle_fixture.hpp"
 #include "serve/oracle_client.hpp"
 #include "serve/oracle_server.hpp"
-#include "serve/oracle_service.hpp"
-#include "test_support.hpp"
 
 namespace irp {
 namespace {
 
-struct ServerFixture {
-  std::unique_ptr<GeneratedInternet> net;
-  PassiveDataset passive;
-  OracleSnapshot snapshot;
-  std::unique_ptr<OracleIndex> index;
-  std::vector<OracleRequest> queries;
-};
+using test::connect_loopback;
+using test::OracleFixture;
+using test::send_bytes;
 
-const ServerFixture& fixture() {
-  static const ServerFixture fx = [] {
-    ServerFixture f;
-    f.net = generate_internet(test::small_generator_config());
-    f.passive = run_passive_study(*f.net, test::small_passive_config());
-    f.snapshot = snapshot_study(f.passive);
-    f.index = std::make_unique<OracleIndex>(&f.snapshot);
-
-    const auto& decisions = f.passive.decisions;
-    const auto scenarios = figure1_scenarios();
-    for (std::size_t i = 0; i < decisions.size(); ++i) {
-      const RouteDecision& d = decisions[i];
-      ClassifyRequest classify;
-      classify.decision = d;
-      classify.scenario = scenarios[i % scenarios.size()].options;
-      f.queries.emplace_back(classify);
-      if (i % 3 == 0)
-        f.queries.emplace_back(AlternateRoutesRequest{d.decider, d.dst_prefix});
-      if (i % 5 == 0)
-        f.queries.emplace_back(
-            PspVisibilityRequest{d.dest_asn, d.next_hop, d.dst_prefix});
-      if (i % 7 == 0)
-        f.queries.emplace_back(RelationshipLookupRequest{d.decider, d.next_hop});
-    }
-    return f;
-  }();
-  return fx;
-}
+const OracleFixture& fixture() { return test::oracle_fixture(); }
 
 // -- Raw-socket helpers for the fault-injection tests.
-
-/// Blocking loopback connect; returns the fd (or -1, failing the test).
-int connect_loopback(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    ADD_FAILURE() << "connect failed: " << std::strerror(errno);
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  return fd;
-}
-
-void send_bytes(int fd, const std::string& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    ASSERT_GT(n, 0) << "send failed: " << std::strerror(errno);
-    sent += static_cast<std::size_t>(n);
-  }
-}
 
 /// Reads until `count` frames decode (or the deadline/EOF fails the test).
 std::vector<WireFrame> read_frames(int fd, std::size_t count,
@@ -167,9 +106,9 @@ WireError expect_error_frame(const WireFrame& frame) {
 // -- Byte identity against the local service.
 
 TEST(OracleServerE2E, RemoteAnswersAreByteIdenticalToLocalSerial) {
-  const ServerFixture& f = fixture();
+  const OracleFixture& f = fixture();
   ASSERT_GT(f.queries.size(), 100u);
-  OracleService service(f.index.get(), OracleService::Config{2, 1024});
+  OracleService service(f.catalog.get(), OracleService::Config{2, 1024});
   OracleServer server(&service);
   server.start();
 
@@ -177,7 +116,8 @@ TEST(OracleServerE2E, RemoteAnswersAreByteIdenticalToLocalSerial) {
   cc.port = server.port();
   OracleClient client(cc);
   for (const OracleRequest& request : f.queries)
-    EXPECT_EQ(to_text(client.call(request)), to_text(service.answer(request)));
+    EXPECT_EQ(to_text(client.call(request)),
+              to_text(service.answer(request, "")));
 
   // The wire counters describe exactly this workload. to_text() above ran
   // each query a second time locally, so compare against the server's view.
@@ -206,8 +146,8 @@ TEST(OracleServerE2E, RemoteAnswersAreByteIdenticalToLocalSerial) {
 }
 
 TEST(OracleServerE2E, WireLatencyQuantilesBoundServiceQuantiles) {
-  const ServerFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{2, 1024});
+  const OracleFixture& f = fixture();
+  OracleService service(f.catalog.get(), OracleService::Config{2, 1024});
   OracleServer server(&service);
   server.start();
   OracleClient::Config cc;
@@ -233,8 +173,8 @@ TEST(OracleServerE2E, WireLatencyQuantilesBoundServiceQuantiles) {
 }
 
 TEST(OracleServerE2E, ConcurrentClientsStayByteIdentical) {
-  const ServerFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{4, 256});
+  const OracleFixture& f = fixture();
+  OracleService service(f.catalog.get(), OracleService::Config{4, 256});
   OracleServer server(&service);
   server.start();
   const std::uint16_t port = server.port();
@@ -243,7 +183,7 @@ TEST(OracleServerE2E, ConcurrentClientsStayByteIdentical) {
   std::vector<std::string> expected;
   expected.reserve(f.queries.size());
   for (const OracleRequest& request : f.queries)
-    expected.push_back(to_text(service.answer(request)));
+    expected.push_back(to_text(service.answer(request, "")));
 
   constexpr int kClients = 4;
   std::vector<std::thread> threads;
@@ -273,8 +213,8 @@ TEST(OracleServerE2E, ConcurrentClientsStayByteIdentical) {
 // still answered. workers == 0 keeps the queue full deterministically.
 
 TEST(OracleServerE2E, OverloadShedsWithExplicitErrorFrames) {
-  const ServerFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{0, 1});
+  const OracleFixture& f = fixture();
+  OracleService service(f.catalog.get(), OracleService::Config{0, 1});
   OracleServer server(&service);
   server.start();
 
@@ -319,8 +259,8 @@ TEST(OracleServerE2E, OverloadShedsWithExplicitErrorFrames) {
 // -- Malformed input.
 
 TEST(OracleServerE2E, GarbageBytesPoisonOnlyThatConnection) {
-  const ServerFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{1, 64});
+  const OracleFixture& f = fixture();
+  OracleService service(f.catalog.get(), OracleService::Config{1, 64});
   OracleServer server(&service);
   server.start();
 
@@ -340,7 +280,7 @@ TEST(OracleServerE2E, GarbageBytesPoisonOnlyThatConnection) {
   cc.port = server.port();
   OracleClient client(cc);
   EXPECT_EQ(to_text(client.call(f.queries[0])),
-            to_text(service.answer(f.queries[0])));
+            to_text(service.answer(f.queries[0], "")));
   EXPECT_GE(server.stats().decode_errors, 1u);
 
   server.shutdown();
@@ -348,8 +288,8 @@ TEST(OracleServerE2E, GarbageBytesPoisonOnlyThatConnection) {
 }
 
 TEST(OracleServerE2E, MalformedPayloadKeepsConnectionAlive) {
-  const ServerFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{1, 64});
+  const OracleFixture& f = fixture();
+  OracleService service(f.catalog.get(), OracleService::Config{1, 64});
   OracleServer server(&service);
   server.start();
 
@@ -386,8 +326,8 @@ TEST(OracleServerE2E, MalformedPayloadKeepsConnectionAlive) {
 }
 
 TEST(OracleServerE2E, OversizedClaimAgainstServerLimitClosesConnection) {
-  const ServerFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{1, 64});
+  const OracleFixture& f = fixture();
+  OracleService service(f.catalog.get(), OracleService::Config{1, 64});
   OracleServer::Config sc;
   sc.max_frame_payload = 16;  // Tighter than the protocol-wide bound.
   OracleServer server(&service, sc);
@@ -426,8 +366,8 @@ TEST(OracleServerE2E, OversizedClaimAgainstServerLimitClosesConnection) {
 // -- Connection management.
 
 TEST(OracleServerE2E, ConnectionsOverCapAreRefused) {
-  const ServerFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{1, 64});
+  const OracleFixture& f = fixture();
+  OracleService service(f.catalog.get(), OracleService::Config{1, 64});
   OracleServer::Config sc;
   sc.max_connections = 1;
   OracleServer server(&service, sc);
@@ -453,8 +393,8 @@ TEST(OracleServerE2E, ConnectionsOverCapAreRefused) {
 }
 
 TEST(OracleServerE2E, ShutdownDrainsThenRefusesNewConnections) {
-  const ServerFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{1, 64});
+  const OracleFixture& f = fixture();
+  OracleService service(f.catalog.get(), OracleService::Config{1, 64});
   auto server = std::make_unique<OracleServer>(&service);
   server->start();
   const std::uint16_t port = server->port();
@@ -465,7 +405,7 @@ TEST(OracleServerE2E, ShutdownDrainsThenRefusesNewConnections) {
   {
     OracleClient client(cc);
     EXPECT_EQ(to_text(client.call(f.queries[0])),
-              to_text(service.answer(f.queries[0])));
+              to_text(service.answer(f.queries[0], "")));
   }
   server->shutdown();
   EXPECT_EQ(server->stats().connections_closed,
@@ -487,7 +427,7 @@ TEST(OracleServerE2E, ShutdownDrainsThenRefusesNewConnections) {
 // -- Per-connection bounds: a flooding client is throttled, not served at
 // everyone else's expense.
 
-ClassifyRequest first_classify(const ServerFixture& f) {
+ClassifyRequest first_classify(const OracleFixture& f) {
   for (const OracleRequest& q : f.queries)
     if (std::holds_alternative<ClassifyRequest>(q))
       return std::get<ClassifyRequest>(q);
@@ -496,8 +436,8 @@ ClassifyRequest first_classify(const ServerFixture& f) {
 }
 
 TEST(OracleServerE2E, FloodingClientIsThrottledWithoutStallingOthers) {
-  const ServerFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{2, 1024});
+  const OracleFixture& f = fixture();
+  OracleService service(f.catalog.get(), OracleService::Config{2, 1024});
   OracleServer::Config sc;
   sc.drain_timeout_ms = 300;
   OracleServer server(&service, sc);
@@ -557,7 +497,7 @@ TEST(OracleServerE2E, FloodingClientIsThrottledWithoutStallingOthers) {
   OracleClient client(cc);
   const auto asked = std::chrono::steady_clock::now();
   EXPECT_EQ(to_text(client.call(f.queries[0])),
-            to_text(service.answer(f.queries[0])));
+            to_text(service.answer(f.queries[0], "")));
   EXPECT_LT(std::chrono::steady_clock::now() - asked,
             std::chrono::milliseconds(1000));
 
@@ -576,8 +516,8 @@ TEST(OracleServerE2E, FloodingClientIsThrottledWithoutStallingOthers) {
 // gone (run under IRP_SANITIZE=address and =thread).
 
 TEST(OracleServerE2E, CompletionsRunSafelyAfterServerIsDestroyed) {
-  const ServerFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{0, 64});
+  const OracleFixture& f = fixture();
+  OracleService service(f.catalog.get(), OracleService::Config{0, 64});
   OracleServer::Config sc;
   sc.drain_timeout_ms = 20;
   auto server = std::make_unique<OracleServer>(&service, sc);
@@ -617,8 +557,8 @@ std::atomic<int> g_sigusr1_count{0};
 void count_sigusr1(int) { g_sigusr1_count.fetch_add(1); }
 
 TEST(OracleClientRobustness, CallsSurviveInterruptedSyscalls) {
-  const ServerFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{2, 256});
+  const OracleFixture& f = fixture();
+  OracleService service(f.catalog.get(), OracleService::Config{2, 256});
   OracleServer server(&service);
   server.start();
 
@@ -629,7 +569,7 @@ TEST(OracleClientRobustness, CallsSurviveInterruptedSyscalls) {
   // Establish the connection before the signal storm starts; the EINTR
   // contract under test is send_all/read_frame, not the connect handshake.
   ASSERT_EQ(to_text(client.call(f.queries[0])),
-            to_text(service.answer(f.queries[0])));
+            to_text(service.answer(f.queries[0], "")));
 
   // A handler installed WITHOUT SA_RESTART makes every signal delivery fail
   // the interrupted syscall with EINTR instead of restarting it.
@@ -653,7 +593,7 @@ TEST(OracleClientRobustness, CallsSurviveInterruptedSyscalls) {
   int mismatches = 0;
   for (int round = 0; round < 2; ++round)
     for (const OracleRequest& request : f.queries)
-      if (to_text(client.call(request)) != to_text(service.answer(request)))
+      if (to_text(client.call(request)) != to_text(service.answer(request, "")))
         ++mismatches;
   EXPECT_EQ(mismatches, 0);
 

@@ -69,9 +69,9 @@ TEST(OracleSnapshot, FileRoundTrip) {
 
 TEST(OracleSnapshot, ClassifiesIdenticallyToLiveStudy) {
   const StudyFixture& f = study();
-  const OracleSnapshot loaded = OracleSnapshot::from_bytes(f.bytes);
-  const OracleIndex index(&loaded);
-  OracleService service(&index, OracleService::Config{0, 1});
+  StudyCatalog catalog;
+  catalog.add_study("study", OracleSnapshot::from_bytes(f.bytes));
+  OracleService service(&catalog, OracleService::Config{0, 1});
 
   const PassiveDataset& ds = f.passive;
   const DecisionClassifier live(&ds.inferred, f.net->topology.num_ases(),
@@ -83,7 +83,7 @@ TEST(OracleSnapshot, ClassifiesIdenticallyToLiveStudy) {
       ClassifyRequest req;
       req.decision = d;
       req.scenario = scenario.options;
-      const OracleResponse resp = service.answer(OracleRequest{req});
+      const OracleResponse resp = service.answer(OracleRequest{req}, "");
       ASSERT_EQ(std::get<ClassifyResponse>(resp).category, expected)
           << scenario.name << " decision " << checked;
       ++checked;
@@ -92,13 +92,13 @@ TEST(OracleSnapshot, ClassifiesIdenticallyToLiveStudy) {
   EXPECT_GT(checked, 0u);
   // The second pass through identical keys must have produced cache hits
   // without changing a single answer (asserted above).
-  EXPECT_GT(index.cache_stats().hits, 0u);
+  EXPECT_GT(catalog.default_study()->index->cache_stats().hits, 0u);
 }
 
 TEST(OracleSnapshot, RoutesMatchTheLiveEngine) {
   const StudyFixture& f = study();
   const OracleSnapshot loaded = OracleSnapshot::from_bytes(f.bytes);
-  const OracleIndex index(&loaded);
+  const OracleIndex index(&loaded, loaded.paths);
   const BgpEngine& engine = *f.passive.engine;
 
   std::size_t route_entries = 0;

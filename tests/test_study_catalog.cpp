@@ -1,36 +1,32 @@
 // StudyCatalog tests: N snapshots behind one endpoint must be
-// indistinguishable from N single-study oracles.
+// indistinguishable from N one-study catalogs.
 //
 // The headline guarantee is byte identity for N=3: every query answered by
-// the catalog-backed service — locally and over the wire with the
-// version-2 study flag — renders to exactly the text a dedicated
-// single-study service produces for the same snapshot. On top of that:
+// the three-study service — locally and over the wire with the version-2
+// study flag — renders to exactly the text a service over a one-study
+// catalog of the same study produces. On top of that:
 // pre-multi-study (version 1) clients keep working against the default
 // study; unknown study ids reject with the typed error at every layer
 // (answer/submit/wire); the shared classify-cache budget is enforced and
 // rebalances toward hot studies; the shared path arena deduplicates
 // identical studies; and the whole stack is exercised under concurrent
-// multi-study load (the TSan target for this subsystem).
+// multi-study load (the TSan target for this subsystem). ClassifyCache's
+// per-shard bounds sum to its quota exactly, so a study never holds more
+// entries than its quota.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "oracle_fixture.hpp"
 #include "serve/oracle_client.hpp"
 #include "serve/oracle_server.hpp"
-#include "serve/oracle_service.hpp"
-#include "serve/study_catalog.hpp"
-#include "test_support.hpp"
 
 namespace irp {
 namespace {
@@ -38,48 +34,18 @@ namespace {
 constexpr std::uint64_t kSeeds[3] = {42, 43, 44};
 constexpr const char* kNames[3] = {"epoch-a", "epoch-b", "epoch-c"};
 
-struct StudyFixture {
-  std::unique_ptr<GeneratedInternet> net;
-  PassiveDataset passive;
-  OracleSnapshot snapshot;  ///< Baseline copy with its own path table.
-  std::unique_ptr<OracleIndex> index;
-  std::vector<OracleRequest> queries;
-};
+using test::OracleFixture;
 
-StudyFixture make_fixture(std::uint64_t seed) {
-  StudyFixture f;
-  f.net = generate_internet(test::small_generator_config(seed));
-  f.passive = run_passive_study(*f.net, test::small_passive_config());
-  f.snapshot = snapshot_study(f.passive);
-  f.index = std::make_unique<OracleIndex>(&f.snapshot);
-
-  const auto& decisions = f.passive.decisions;
-  const auto scenarios = figure1_scenarios();
-  for (std::size_t i = 0; i < decisions.size(); ++i) {
-    const RouteDecision& d = decisions[i];
-    ClassifyRequest classify;
-    classify.decision = d;
-    classify.scenario = scenarios[i % scenarios.size()].options;
-    f.queries.emplace_back(classify);
-    if (i % 3 == 0)
-      f.queries.emplace_back(AlternateRoutesRequest{d.decider, d.dst_prefix});
-    if (i % 5 == 0)
-      f.queries.emplace_back(
-          PspVisibilityRequest{d.dest_asn, d.next_hop, d.dst_prefix});
-    if (i % 7 == 0)
-      f.queries.emplace_back(RelationshipLookupRequest{d.decider, d.next_hop});
-  }
-  // Cap the stream so the three-fixture tests stay fast; coverage across
-  // query types is preserved by the interleaving above.
-  if (f.queries.size() > 400) f.queries.resize(400);
-  return f;
-}
+// Cap each stream so the three-fixture tests stay fast; coverage across
+// query types is preserved by the stream's interleaving.
+constexpr std::size_t kMaxQueries = 400;
 
 /// Three studies from three seeds, built once per binary.
-const std::array<StudyFixture, 3>& fixtures() {
-  static const std::array<StudyFixture, 3> fx = {
-      make_fixture(kSeeds[0]), make_fixture(kSeeds[1]),
-      make_fixture(kSeeds[2])};
+const std::array<OracleFixture, 3>& fixtures() {
+  static const std::array<OracleFixture, 3> fx = {
+      test::make_oracle_fixture(kSeeds[0], kMaxQueries),
+      test::make_oracle_fixture(kSeeds[1], kMaxQueries),
+      test::make_oracle_fixture(kSeeds[2], kMaxQueries)};
   return fx;
 }
 
@@ -94,33 +60,8 @@ std::unique_ptr<StudyCatalog> make_catalog(StudyCatalogConfig config = {}) {
 
 // -- Raw-socket helpers for the version-1 compatibility test.
 
-int connect_loopback(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    ADD_FAILURE() << "connect failed: " << std::strerror(errno);
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  return fd;
-}
-
-void send_bytes(int fd, const std::string& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    ASSERT_GT(n, 0) << "send failed: " << std::strerror(errno);
-    sent += static_cast<std::size_t>(n);
-  }
-}
+using test::connect_loopback;
+using test::send_bytes;
 
 std::optional<WireFrame> read_one_frame(int fd, int timeout_ms = 5000) {
   std::string buffer;
@@ -185,18 +126,18 @@ TEST(StudyCatalog, RejectsBadAndDuplicateNames) {
   EXPECT_EQ(catalog.size(), 1u);
 }
 
-// -- Byte identity: the catalog answers exactly like N dedicated oracles.
+// -- Byte identity: the catalog answers exactly like N one-study catalogs.
 
 TEST(StudyCatalog, ThreeStudyServiceMatchesSingleStudyServicesLocally) {
   auto catalog = make_catalog();
   OracleService multi(catalog.get(), OracleService::Config{0, 4096});
 
   for (int s = 0; s < 3; ++s) {
-    const StudyFixture& f = fixtures()[s];
-    OracleService single(f.index.get(), OracleService::Config{0, 1});
+    const OracleFixture& f = fixtures()[s];
+    OracleService single(f.catalog.get(), OracleService::Config{0, 1});
     for (const OracleRequest& request : f.queries)
       EXPECT_EQ(to_text(multi.answer(request, kNames[s])),
-                to_text(single.answer(request)))
+                to_text(single.answer(request, "")))
           << "study " << kNames[s];
   }
 
@@ -206,7 +147,7 @@ TEST(StudyCatalog, ThreeStudyServiceMatchesSingleStudyServicesLocally) {
   std::vector<std::future<OracleResponse>> responses;
   std::array<std::size_t, 3> submitted{};
   for (int s = 0; s < 3; ++s) {
-    const StudyFixture& f = fixtures()[s];
+    const OracleFixture& f = fixtures()[s];
     for (std::size_t i = 0; i < f.queries.size(); i += 10) {
       OracleService::Submitted sub = multi.submit(f.queries[i], kNames[s]);
       ASSERT_TRUE(sub.accepted);
@@ -234,9 +175,9 @@ TEST(StudyCatalog, ThreeStudyServerMatchesSingleStudyServersOverWire) {
   multi_server.start();
 
   for (int s = 0; s < 3; ++s) {
-    const StudyFixture& f = fixtures()[s];
-    // The single-study ground truth, served by its own process-local stack.
-    OracleService single(f.index.get(), OracleService::Config{2, 1024});
+    const OracleFixture& f = fixtures()[s];
+    // The one-study ground truth, served by its own process-local stack.
+    OracleService single(f.catalog.get(), OracleService::Config{2, 1024});
     OracleServer single_server(&single);
     single_server.start();
 
@@ -272,7 +213,7 @@ TEST(StudyCatalog, Version1ClientGetsTheDefaultStudy) {
   // encode_request without a study emits exactly the version-1 bytes
   // (pinned by test_wire's golden test), so this raw socket IS a pre-bump
   // client. It must be answered from the default study.
-  const StudyFixture& def = fixtures()[0];
+  const OracleFixture& def = fixtures()[0];
   const int fd = connect_loopback(server.port());
   ASSERT_GE(fd, 0);
   std::uint64_t id = 1;
@@ -284,7 +225,7 @@ TEST(StudyCatalog, Version1ClientGetsTheDefaultStudy) {
     const auto reply = decode_reply(*frame);
     ASSERT_TRUE(std::holds_alternative<OracleResponse>(reply));
     EXPECT_EQ(to_text(std::get<OracleResponse>(reply)),
-              to_text(service.answer(def.queries[i])));
+              to_text(service.answer(def.queries[i], "")));
     ++id;
   }
   ::close(fd);
@@ -341,7 +282,6 @@ TEST(StudyCatalog, UnknownStudyRejectsAtEveryLayer) {
 TEST(StudyCatalog, CacheBudgetIsSharedAndEnforced) {
   StudyCatalogConfig config;
   config.total_cache_capacity = 240;
-  config.min_study_cache_quota = 32;
   auto catalog = make_catalog(config);
 
   // On load every study gets an even split of the budget.
@@ -376,7 +316,7 @@ TEST(StudyCatalog, CacheBudgetIsSharedAndEnforced) {
   budget = catalog->cache_budget();
   total_quota = 0;
   for (const auto& per : budget.per_study) {
-    EXPECT_GE(per.quota, config.min_study_cache_quota) << per.name;
+    EXPECT_GE(per.quota, StudyCatalog::kMinStudyCacheQuota) << per.name;
     total_quota += per.quota;
   }
   EXPECT_LE(total_quota, config.total_cache_capacity);
@@ -386,6 +326,60 @@ TEST(StudyCatalog, CacheBudgetIsSharedAndEnforced) {
   // The service's aggregate view reports the shared budget as capacity.
   const OracleStatsView stats = service.stats();
   EXPECT_EQ(stats.cache.capacity, config.total_cache_capacity);
+}
+
+TEST(StudyCatalog, SmallBudgetHoldsEveryStudyToItsQuota) {
+  // Two studies on a 10-entry budget get quotas of 5 over 8 cache shards;
+  // neither may hold more than its 5 entries however many keys it sees.
+  StudyCatalogConfig config;
+  config.total_cache_capacity = 10;
+  StudyCatalog catalog(config);
+  catalog.add_study("epoch-a", snapshot_study(fixtures()[0].passive));
+  catalog.add_study("epoch-b", snapshot_study(fixtures()[1].passive));
+  OracleService service(&catalog, OracleService::Config{0, 1});
+  for (int s = 0; s < 2; ++s)
+    for (const OracleRequest& request : fixtures()[s].queries)
+      (void)service.answer(request, kNames[s]);
+
+  std::size_t entries = 0;
+  for (const auto& per : catalog.cache_budget().per_study) {
+    EXPECT_EQ(per.quota, 5u) << per.name;
+    EXPECT_LE(per.stats.entries, per.quota) << per.name;
+    entries += per.stats.entries;
+  }
+  EXPECT_LE(entries, config.total_cache_capacity);
+}
+
+ClassifyKey numbered_key(std::uint32_t i) {
+  ClassifyKey key;
+  key.decider = i + 1;
+  key.next_hop = 2 * i + 7;
+  key.dest = 3 * i + 11;
+  return key;
+}
+
+TEST(ClassifyCache, ShardBoundsSumToTheCapacity) {
+  // A study's cache starts at capacity 0 and the catalog then sets its
+  // quota; the 8 shard bounds must add up to that quota, not round each
+  // shard up to 1 (over-filling small quotas) or down (2730 holding only
+  // 2728).
+  for (const std::size_t capacity : {1, 4, 7, 8, 9, 2730}) {
+    ClassifyCache cache;
+    cache.set_capacity(capacity);
+    // At least 10x the capacity, and enough that every shard sees keys.
+    const std::size_t keys = std::max<std::size_t>(10 * capacity, 1000);
+    for (std::size_t i = 0; i < keys; ++i)
+      cache.put(numbered_key(static_cast<std::uint32_t>(i)),
+                DecisionCategory::kBestShort);
+    ClassifyCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.capacity, capacity);
+    EXPECT_EQ(stats.entries, capacity) << "capacity " << capacity;
+
+    cache.set_capacity(capacity / 2);
+    stats = cache.stats();
+    EXPECT_EQ(stats.capacity, capacity / 2);
+    EXPECT_LE(stats.entries, capacity / 2) << "capacity " << capacity;
+  }
 }
 
 // -- Shared path arena.
@@ -404,7 +398,7 @@ TEST(StudyCatalog, ArenaDeduplicatesIdenticalStudies) {
 
   // Identical content, distinct names: both studies answer identically.
   OracleService service(&catalog, OracleService::Config{0, 1});
-  const StudyFixture& f = fixtures()[0];
+  const OracleFixture& f = fixtures()[0];
   for (std::size_t i = 0; i < f.queries.size(); i += 13)
     EXPECT_EQ(to_text(service.answer(f.queries[i], "epoch-a")),
               to_text(service.answer(f.queries[i], "epoch-a2")));
