@@ -28,7 +28,11 @@
 //       first loaded). With --connect, each query goes over OracleWire
 //       (docs/PROTOCOL.md) to a `serve --listen` process, --study riding in
 //       the version-2 study flag; the printed answers are byte-identical
-//       either way.
+//       either way. A query that cannot be answered (say, a classify whose
+//       DEST lies outside the study) prints `error: MESSAGE` in its slot;
+//       the rest are still answered, and the run exits 1 (over --connect,
+//       MESSAGE carries the server's error prefix). `serve --queries` does
+//       the same.
 //
 //   run_study_cli serve --snapshot [NAME=]FILE [--workers N] [--queue N]
 //                       [--cache-budget N] [--study NAME]
@@ -238,6 +242,19 @@ std::vector<OracleRequest> read_queries(const std::string& queries_file) {
   return out;
 }
 
+/// Prints one query's answer, or `error: <message>` in its slot when the
+/// query itself failed with an `Error`; returns whether it was answered.
+template <typename Error, typename Answer>
+bool print_answer(Answer&& answer) {
+  try {
+    std::printf("%s\n", to_text(answer()).c_str());
+    return true;
+  } catch (const Error& e) {
+    std::printf("error: %s\n", e.what());
+    return false;
+  }
+}
+
 StudyConfig parse_study_flags(int argc, char** argv, int first,
                               std::string* out_path) {
   StudyConfig config;
@@ -319,18 +336,24 @@ int cmd_query(int argc, char** argv) {
         argv[0], "--connect port", connect.c_str() + colon + 1, 1, 65535));
     cc.study = study;
     OracleClient client(cc);
+    // A transport failure still aborts the run; a query the server could
+    // not answer only fails its own line.
+    bool all_answered = true;
     for (const OracleRequest& request : read_queries(queries_file))
-      std::printf("%s\n", to_text(client.call(request)).c_str());
-    return 0;
+      all_answered &= print_answer<OracleServerError>(
+          [&] { return client.call(request); });
+    return all_answered ? 0 : 1;
   }
 
   StudyCatalog catalog;
   load_catalog(catalog, snapshots);
   OracleService service(&catalog, OracleService::Config{0, 1});
 
+  bool all_answered = true;
   for (const OracleRequest& request : read_queries(queries_file))
-    std::printf("%s\n", to_text(service.answer(request, study)).c_str());
-  return 0;
+    all_answered &= print_answer<CheckError>(
+        [&] { return service.answer(request, study); });
+  return all_answered ? 0 : 1;
 }
 
 void print_service_stats(const OracleStatsView& stats) {
@@ -470,17 +493,19 @@ int cmd_serve(int argc, char** argv) {
   submitted.reserve(queries.size());
   for (const OracleRequest& request : queries)
     submitted.push_back(service.submit(request, study));
+  bool all_answered = true;
   for (OracleService::Submitted& s : submitted) {
     if (s.reject == OracleService::Reject::kUnknownStudy)
       std::printf("rejected (unknown study)\n");
     else if (!s.accepted)
       std::printf("rejected (queue full)\n");
     else
-      std::printf("%s\n", to_text(s.response.get()).c_str());
+      all_answered &=
+          print_answer<CheckError>([&] { return s.response.get(); });
   }
   service.shutdown();
   print_service_stats(service.stats());
-  return 0;
+  return all_answered ? 0 : 1;
 }
 
 int cmd_legacy(int argc, char** argv) {

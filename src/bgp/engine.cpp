@@ -44,7 +44,8 @@ void BgpEngine::StatePool::release(std::unique_ptr<PrefixState> st) {
   free_.push_back(std::move(st));
 }
 
-void BgpEngine::PrefixState::reset(std::size_t num_ases) {
+void BgpEngine::PrefixState::reset(std::size_t num_ases,
+                                   std::size_t num_slots) {
   prefix = Ipv4Prefix{};
   origin = 0;
   originated = false;
@@ -56,9 +57,9 @@ void BgpEngine::PrefixState::reset(std::size_t num_ases) {
     pa.rib_in.clear();
     pa.selected.reset();
     pa.force_export = false;
-    pa.sent.clear();
   }
   per_as.resize(num_ases);
+  sent.assign(num_slots, kNotSent);
   queue.clear();
   queued.assign(num_ases + 1, false);
 }
@@ -70,6 +71,12 @@ BgpEngine::BgpEngine(const Topology* topo, const GroundTruthPolicy* policy,
     : topo_(topo), policy_(policy), epoch_(epoch), pool_(pool) {
   IRP_CHECK(topo_ != nullptr, "engine requires a topology");
   IRP_CHECK(policy_ != nullptr, "engine requires a policy");
+  slot_offset_.reserve(topo_->num_ases() + 1);
+  slot_offset_.push_back(0);
+  for (Asn asn = 1; asn <= topo_->num_ases(); ++asn)
+    slot_offset_.push_back(
+        slot_offset_.back() +
+        static_cast<std::uint32_t>(topo_->links_of(asn).size()));
 }
 
 BgpEngine::~BgpEngine() {
@@ -80,16 +87,13 @@ BgpEngine::~BgpEngine() {
 BgpEngine::PrefixState& BgpEngine::state_for(const Ipv4Prefix& prefix) {
   auto it = index_.find(prefix);
   if (it != index_.end()) return *states_[it->second];
+  IRP_CHECK(slot_offset_.size() == topo_->num_ases() + 1,
+            "topology changed under a live engine");
   std::unique_ptr<PrefixState> st;
   if (pool_ != nullptr) st = pool_->acquire();
-  if (st != nullptr) {
-    ++states_reused_;
-    st->reset(topo_->num_ases());
-  } else {
-    st = std::make_unique<PrefixState>();
-    st->per_as.resize(topo_->num_ases());
-    st->queued.resize(topo_->num_ases() + 1, false);
-  }
+  if (st != nullptr) ++states_reused_;
+  else st = std::make_unique<PrefixState>();
+  st->reset(topo_->num_ases(), slot_offset_.back());
   st->prefix = prefix;
   index_[prefix] = states_.size();
   states_.push_back(std::move(st));
@@ -237,7 +241,9 @@ void BgpEngine::process(PrefixState& st, Asn asn) {
 void BgpEngine::export_from(PrefixState& st, Asn asn) {
   PerAs& pa = st.per_as[asn - 1];
   const auto& links = topo_->links_of(asn);
-  if (pa.sent.size() != links.size()) pa.sent.assign(links.size(), kNotSent);
+  IRP_CHECK(links.size() == slot_offset_[asn] - slot_offset_[asn - 1],
+            "topology changed under a live engine");
+  PathId* const sent = st.sent.data() + slot_offset_[asn - 1];
   // The exported path is the same for every link (modulo per-link TE, rare);
   // intern the prepend once per export, not once per delivery.
   PathId out_base = kNotSent;
@@ -276,15 +282,15 @@ void BgpEngine::export_from(PrefixState& st, Asn asn) {
           if (plid == lid)
             out = table_.prepend_n(out, asn, std::size_t(count));
       }
-      if (pa.sent[slot] == out) continue;  // No change.
-      pa.sent[slot] = out;
+      if (sent[slot] == out) continue;  // No change.
+      sent[slot] = out;
       deliver_update(st, asn, link, out,
                      pa.selected->self_originated
                          ? std::nullopt
                          : pa.selected->effective_class);
     } else {
-      if (pa.sent[slot] == kNotSent) continue;  // Nothing previously sent.
-      pa.sent[slot] = kNotSent;
+      if (sent[slot] == kNotSent) continue;  // Nothing previously sent.
+      sent[slot] = kNotSent;
       deliver_withdraw(st, asn, link);
     }
   }

@@ -147,12 +147,13 @@ class BgpEngine {
   /// the decision process compares is cached here at delivery time (it
   /// depends only on the receiving AS, the link, and the path — all fixed
   /// per entry), so selection touches no policy/topology code and allocates
-  /// nothing.
+  /// nothing. Fields are ordered widest first so an entry packs into 32
+  /// bytes.
   struct RibRoute {
+    LogicalTime received_at = 0;
     PathId path = kEmptyPathId;  ///< Into paths().
     LinkId via_link = 0;
     Asn from_asn = 0;
-    LogicalTime received_at = 0;
     int local_pref = 0;  ///< Import local-pref at the receiving AS.
     int igp_cost = 0;    ///< IGP cost from the receiver's backbone.
     /// Organizational route class as received (carried across siblings).
@@ -160,6 +161,8 @@ class BgpEngine {
     /// Class governing selection/export at the receiving AS.
     std::optional<Relationship> effective_class;
   };
+  static_assert(sizeof(RibRoute) == 32,
+                "RibRoute is the bulk of a converged engine's memory");
 
   /// Read-only walk of one prefix's routing state for bulk exporters that
   /// work on interned ids (the oracle snapshot builder): calls
@@ -203,7 +206,7 @@ class BgpEngine {
   EngineCounters counters() const;
 
  private:
-  /// Sentinel for PerAs::sent slots: nothing advertised over that link.
+  /// Sentinel for PrefixState::sent slots: nothing advertised over that link.
   /// (No real advertisement can be the empty path either — export always
   /// prepends the sender — but an explicit sentinel keeps intent obvious.)
   static constexpr PathId kNotSent = 0xFFFFFFFFu;
@@ -215,11 +218,6 @@ class BgpEngine {
     /// Forces the next process() to re-run exports even if the selection
     /// compares equal (set by announce/withdraw when options change).
     bool force_export = false;
-    /// Last path advertised per outgoing link, indexed by the link's
-    /// position in the AS's adjacency list (kNotSent = withdrawn/never).
-    /// Sized lazily on first export; a flat slot array beats a sorted
-    /// vector here because export walks the adjacency list in order anyway.
-    std::vector<PathId> sent;
   };
 
   struct PrefixState {
@@ -231,12 +229,17 @@ class BgpEngine {
     /// fixed at announce() so process() never re-interns the poison set.
     PathId origin_path = kEmptyPathId;
     std::vector<PerAs> per_as;
+    /// Last path advertised over each outgoing link of every AS (kNotSent =
+    /// withdrawn/never): AS a's slots start at slot_offset_[a - 1] and follow
+    /// its adjacency list, which export walks in order. One flat array per
+    /// prefix instead of one heap vector per AS.
+    std::vector<PathId> sent;
     std::deque<Asn> queue;
     std::vector<bool> queued;
 
-    /// Clears for reuse, keeping the per-AS vector capacities (the point of
-    /// the pool).
-    void reset(std::size_t num_ases);
+    /// Clears for (re)use, keeping the per-AS vector capacities (the point
+    /// of the pool); every export slot starts at kNotSent.
+    void reset(std::size_t num_ases, std::size_t num_slots);
   };
 
   PrefixState& state_for(const Ipv4Prefix& prefix);
@@ -262,6 +265,9 @@ class BgpEngine {
   std::uint64_t selections_ = 0;
   std::uint64_t rib_scanned_ = 0;
   std::uint64_t states_reused_ = 0;
+  /// Per-AS start of its export slots in PrefixState::sent, from
+  /// topology().links_of(); the last entry is the slot count.
+  std::vector<std::uint32_t> slot_offset_;
   std::unordered_map<Ipv4Prefix, std::size_t, Ipv4PrefixHash> index_;
   std::vector<std::unique_ptr<PrefixState>> states_;
 };

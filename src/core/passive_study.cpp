@@ -1,7 +1,9 @@
 #include "core/passive_study.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
+#include <string>
 
 #include "dataplane/dns.hpp"
 #include "util/check.hpp"
@@ -22,141 +24,80 @@ std::vector<Asn> content_related_ases(const GeneratedInternet& net) {
 }
 
 /// The route-collector view of each monthly snapshot: per-epoch chunked
-/// convergences announcing one prefix per AS, one feed per (epoch, batch)
-/// job, jobs in ascending epoch order.
-struct CorpusFeeds {
-  std::vector<int> epoch;                     ///< Per job.
-  std::vector<std::vector<FeedEntry>> feeds;  ///< Per job.
+/// convergences announcing one prefix per AS, one (epoch, batch) job each,
+/// jobs in ascending epoch order. Each job owns a private BgpEngine over the
+/// shared immutable topology/policy, so jobs run concurrently.
+class CorpusJobs {
+ public:
+  CorpusJobs(const GeneratedInternet& net, const GroundTruthPolicy& policy,
+             int batch)
+      : net_(net), policy_(policy), batch_(static_cast<std::size_t>(batch)) {
+    net.topology.for_each_as([&](const AsNode& node) {
+      if (!node.prefixes.empty())
+        origins_.emplace_back(node.prefixes.front().prefix, node.asn);
+    });
+    for (int epoch = 0; epoch <= net.measurement_epoch; ++epoch)
+      for (std::size_t start = 0; start < origins_.size(); start += batch_) {
+        epoch_.push_back(epoch);
+        start_.push_back(start);
+      }
+    feeds_.resize(epoch_.size());
+  }
 
-  /// Adds every feed of `e`'s jobs to `corpus` and frees it.
+  std::size_t size() const { return epoch_.size(); }
+  int epoch(std::size_t job) const { return epoch_[job]; }
+
+  /// Converges job `job` and keeps its feed until consume_epoch().
+  void run(std::size_t job) {
+    BgpEngine engine{&net_.topology, &policy_, epoch_[job], &state_pool_};
+    const std::size_t end = std::min(origins_.size(), start_[job] + batch_);
+    for (std::size_t i = start_[job]; i < end; ++i)
+      engine.announce(origins_[i].first, origins_[i].second);
+    engine.run();
+    feeds_[job] = engine.feed(net_.collector_peers);
+  }
+
+  /// Adds every feed of `e`'s jobs to `corpus` and frees it. The caller
+  /// must have seen every one of those jobs finish.
   void consume_epoch(int e, PathCorpus& corpus) {
-    for (std::size_t j = 0; j < feeds.size(); ++j) {
-      if (epoch[j] != e) continue;
-      for (const FeedEntry& entry : feeds[j]) corpus.add_feed(e, entry);
-      std::vector<FeedEntry>().swap(feeds[j]);
+    for (std::size_t j = 0; j < feeds_.size(); ++j) {
+      if (epoch_[j] != e) continue;
+      for (const FeedEntry& entry : feeds_[j]) corpus.add_feed(e, entry);
+      std::vector<FeedEntry>().swap(feeds_[j]);
     }
   }
-};
 
-/// Each (epoch, batch) convergence owns a private BgpEngine over the shared
-/// immutable topology/policy, so jobs run concurrently on `pool`.
-CorpusFeeds converge_corpus_jobs(const GeneratedInternet& net,
-                                 const GroundTruthPolicy& policy, int batch,
-                                 ThreadPool& pool) {
-  const Topology& topo = net.topology;
-  std::vector<std::pair<Ipv4Prefix, Asn>> origins;
-  topo.for_each_as([&](const AsNode& node) {
-    if (!node.prefixes.empty())
-      origins.emplace_back(node.prefixes.front().prefix, node.asn);
-  });
+  bool all_consumed() const {
+    return std::all_of(feeds_.begin(), feeds_.end(),
+                       [](const auto& feed) { return feed.empty(); });
+  }
 
-  CorpusFeeds out;
-  std::vector<std::size_t> starts;
-  for (int epoch = 0; epoch <= net.measurement_epoch; ++epoch)
-    for (std::size_t start = 0; start < origins.size();
-         start += static_cast<std::size_t>(batch)) {
-      out.epoch.push_back(epoch);
-      starts.push_back(start);
-    }
-
+ private:
+  const GeneratedInternet& net_;
+  const GroundTruthPolicy& policy_;
+  std::size_t batch_;
+  std::vector<std::pair<Ipv4Prefix, Asn>> origins_;
+  std::vector<int> epoch_;          ///< Per job.
+  std::vector<std::size_t> start_;  ///< Per job: first index into origins_.
+  std::vector<std::vector<FeedEntry>> feeds_;  ///< Per job.
   // Engines are short-lived (one per job) but their per-prefix state is
   // O(num_ases · batch); the shared pool recycles it across jobs instead of
   // re-mallocing it for every (epoch, batch).
-  BgpEngine::StatePool state_pool;
-  out.feeds = pool.parallel_map(starts.size(), [&](std::size_t j) {
-    BgpEngine engine{&topo, &policy, out.epoch[j], &state_pool};
-    const std::size_t end = std::min(
-        origins.size(), starts[j] + static_cast<std::size_t>(batch));
-    for (std::size_t i = starts[j]; i < end; ++i)
-      engine.announce(origins[i].first, origins[i].second);
-    engine.run();
-    return engine.feed(net.collector_peers);
-  });
-  return out;
-}
+  BgpEngine::StatePool state_pool_;
+};
 
-}  // namespace
-
-void announce_all(BgpEngine& engine, const Topology& topo,
-                  const std::vector<Asn>& origins) {
-  for (Asn asn : origins) {
-    const AsNode& node = topo.as_node(asn);
-    for (const auto& op : node.prefixes) {
-      AnnounceOptions options;
-      options.only_links = op.announce_only_on;
-      options.prepend_on = op.prepend_on;
-      engine.announce(op.prefix, asn, std::move(options));
-    }
-  }
-  engine.run();
-}
-
-PassiveDataset run_passive_study(const GeneratedInternet& net,
-                                 const PassiveStudyConfig& config) {
-  ThreadPool pool{config.parallel.threads};
-  return run_passive_study(net, config, pool);
-}
-
-PassiveDataset run_passive_study(const GeneratedInternet& net,
-                                 const PassiveStudyConfig& config,
-                                 ThreadPool& pool) {
-  PassiveDataset ds;
-  Rng rng{config.seed};
+/// Steps 3-4 of the campaign over the converged measurement engine: every
+/// probe traceroutes to a rotating window of `hostnames`, then each reached
+/// trace becomes an AS path and one routing decision per hop.
+void measure(const GeneratedInternet& net,
+             const std::vector<std::string>& hostnames,
+             int hostnames_per_probe, PassiveDataset& ds) {
   const Topology& topo = net.topology;
-  const int measurement_epoch = net.measurement_epoch;
-
-  ds.policy = std::make_unique<GroundTruthPolicy>(&topo);
-
-  // -- 1. Inference corpus convergences across all snapshots.
-  CorpusFeeds corpus_feeds =
-      converge_corpus_jobs(net, *ds.policy, config.snapshot_batch, pool);
-
-  // -- 2. Measurement-epoch engine with all content-related prefixes
-  // (index 0), beside each earlier epoch's path set and its inference
-  // (index e + 1). The measurement epoch's set also needs the measurement
-  // feed, so it is built after step 4. Each epoch fills a PathCorpus of its
-  // own; path sets do not depend on insertion order, so merging the parts
-  // yields the corpus a serial run builds.
-  std::vector<PathCorpus> parts(static_cast<std::size_t>(measurement_epoch) +
-                                1);
-  ds.snapshots.resize(parts.size());
-  ds.engine =
-      std::make_unique<BgpEngine>(&topo, ds.policy.get(), measurement_epoch);
-  pool.parallel_for(0, parts.size(), [&](std::size_t i) {
-    if (i == 0) {
-      announce_all(*ds.engine, topo, content_related_ases(net));
-      return;
-    }
-    const int epoch = static_cast<int>(i) - 1;
-    corpus_feeds.consume_epoch(epoch, parts[i - 1]);
-    ds.snapshots[i - 1] =
-        infer_snapshot(parts[i - 1].paths(epoch), config.inference);
-  });
-
-  // -- 3. Probes and traceroutes.
-  ProbeSampler sampler{&topo, &net.world, config.probes, rng.fork()};
-  const auto population = sampler.platform_population();
-  ds.probes = sampler.sample(population);
-
   ds.ip_to_as = IpToAsMap::from_topology(topo);
   ContentResolver resolver{&topo, &net.world, &net.content};
   TracerouteSim tracer{&topo, ds.engine.get()};
-
-  // Hostname list, shuffled once; each probe measures a rotating window so
-  // every hostname is covered while respecting the probing budget.
-  std::vector<std::string> hostnames;
-  for (const auto& service : net.content.services())
-    for (const auto& h : service.hostnames) {
-      hostnames.push_back(h.name);
-      // The wide deployers are the traffic heavyweights (the study selected
-      // its targets by downstream bytes): weight their hostnames double.
-      if (service.wide_deployment) hostnames.push_back(h.name);
-    }
-  rng.shuffle(hostnames);
-  IRP_CHECK(!hostnames.empty(), "no content hostnames to measure");
   const int per_probe =
-      std::min<int>(config.hostnames_per_probe, int(hostnames.size()));
-
+      std::min<int>(hostnames_per_probe, int(hostnames.size()));
   for (std::size_t pi = 0; pi < ds.probes.size(); ++pi) {
     const Probe& probe = ds.probes[pi];
     for (int h = 0; h < per_probe; ++h) {
@@ -172,7 +113,7 @@ PassiveDataset run_passive_study(const GeneratedInternet& net,
     }
   }
 
-  // -- 4. Convert to AS paths and extract decisions.
+  // Convert to AS paths and extract decisions.
   std::set<Asn> dest_ases;
   std::set<Asn> decider_ases;
   for (std::size_t ti = 0; ti < ds.traceroutes.size(); ++ti) {
@@ -213,16 +154,113 @@ PassiveDataset run_passive_study(const GeneratedInternet& net,
   }
   ds.num_destination_ases = dest_ases.size();
   ds.num_observed_decider_ases = decider_ases.size();
+}
 
-  // -- 5. Inference products: the measurement epoch's path set and its
-  // inference, then the aggregation over every epoch.
+}  // namespace
+
+void announce_all(BgpEngine& engine, const Topology& topo,
+                  const std::vector<Asn>& origins) {
+  for (Asn asn : origins) {
+    const AsNode& node = topo.as_node(asn);
+    for (const auto& op : node.prefixes) {
+      AnnounceOptions options;
+      options.only_links = op.announce_only_on;
+      options.prepend_on = op.prepend_on;
+      engine.announce(op.prefix, asn, std::move(options));
+    }
+  }
+  engine.run();
+}
+
+PassiveDataset run_passive_study(const GeneratedInternet& net,
+                                 const PassiveStudyConfig& config) {
+  ThreadPool pool{config.parallel.threads};
+  return run_passive_study(net, config, pool);
+}
+
+PassiveDataset run_passive_study(const GeneratedInternet& net,
+                                 const PassiveStudyConfig& config,
+                                 ThreadPool& pool) {
+  PassiveDataset ds;
+  Rng rng{config.seed};
+  const Topology& topo = net.topology;
+  const int measurement_epoch = net.measurement_epoch;
+
+  ds.policy = std::make_unique<GroundTruthPolicy>(&topo);
+
+  // -- 1. One convergence loop: the measurement-epoch engine with all
+  // content-related prefixes (index 0, the longest job; the pool runs it on
+  // the calling thread, so its ~120 MB reuse the same malloc arena in every
+  // study) beside every (epoch, batch) corpus job (index j + 1). Each epoch
+  // counts down its jobs; the thread that finishes an epoch's last job
+  // assembles that epoch's part of the corpus and, for every epoch but the
+  // measurement epoch (whose set also needs the measurement feed), infers
+  // it. Path sets do not depend on insertion order, so merging the parts
+  // yields the corpus a serial run builds.
+  std::vector<PathCorpus> parts(static_cast<std::size_t>(measurement_epoch) +
+                                1);
+  ds.snapshots.resize(parts.size());
+  ds.engine =
+      std::make_unique<BgpEngine>(&topo, ds.policy.get(), measurement_epoch);
+  {
+    CorpusJobs jobs{net, *ds.policy, config.snapshot_batch};
+    std::vector<std::atomic<std::size_t>> pending(parts.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j)
+      pending[static_cast<std::size_t>(jobs.epoch(j))].fetch_add(1);
+    pool.parallel_for(0, jobs.size() + 1, [&](std::size_t i) {
+      if (i == 0) {
+        announce_all(*ds.engine, topo, content_related_ases(net));
+        return;
+      }
+      jobs.run(i - 1);
+      const int epoch = jobs.epoch(i - 1);
+      const auto e = static_cast<std::size_t>(epoch);
+      // The thread that lands the last job sees every other job's feed.
+      if (pending[e].fetch_sub(1) != 1) return;
+      jobs.consume_epoch(epoch, parts[e]);
+      if (epoch != measurement_epoch)
+        ds.snapshots[e] = infer_snapshot(parts[e].paths(epoch),
+                                         config.inference);
+    });
+    IRP_CHECK(jobs.all_consumed(), "a corpus feed was never consumed");
+  }
+
+  // -- 2. Serial middle: the measurement feed, then every random draw
+  // (the probe sample and the hostname shuffle). Workers never touch an Rng.
   ds.measurement_feed = ds.engine->feed(net.collector_peers);
-  PathCorpus& latest = parts.back();
-  corpus_feeds.consume_epoch(measurement_epoch, latest);
-  for (const FeedEntry& e : ds.measurement_feed)
-    latest.add_feed(measurement_epoch, e);
-  ds.snapshots.back() =
-      infer_snapshot(latest.paths(measurement_epoch), config.inference);
+  ProbeSampler sampler{&topo, &net.world, config.probes, rng.fork()};
+  const auto population = sampler.platform_population();
+  ds.probes = sampler.sample(population);
+
+  // Hostname list, shuffled once; each probe measures a rotating window so
+  // every hostname is covered while respecting the probing budget.
+  std::vector<std::string> hostnames;
+  for (const auto& service : net.content.services())
+    for (const auto& h : service.hostnames) {
+      hostnames.push_back(h.name);
+      // The wide deployers are the traffic heavyweights (the study selected
+      // its targets by downstream bytes): weight their hostnames double.
+      if (service.wide_deployment) hostnames.push_back(h.name);
+    }
+  rng.shuffle(hostnames);
+  IRP_CHECK(!hostnames.empty(), "no content hostnames to measure");
+
+  // -- 3. The measurement epoch's path set and inference (index 0) beside
+  // the traceroutes and decision extraction (index 1).
+  pool.parallel_for(0, 2, [&](std::size_t i) {
+    if (i == 0) {
+      PathCorpus& latest = parts.back();
+      for (const FeedEntry& e : ds.measurement_feed)
+        latest.add_feed(measurement_epoch, e);
+      ds.snapshots.back() =
+          infer_snapshot(latest.paths(measurement_epoch), config.inference);
+      return;
+    }
+    measure(net, hostnames, config.hostnames_per_probe, ds);
+  });
+
+  // -- 4. Inference products: the aggregation over every epoch, siblings,
+  // the complex-relationships dataset and the PSP observations.
   for (PathCorpus& part : parts) ds.corpus.merge(std::move(part));
   ds.inferred = aggregate_snapshots(ds.snapshots);
 

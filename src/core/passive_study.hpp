@@ -5,14 +5,18 @@
 //   1. converge the ground-truth BGP system for five monthly snapshots and
 //      collect route-collector feeds (the inference corpus);
 //   2. converge the measurement-epoch system for all content-related
-//      prefixes (concurrently with step 5's path sets and inference of the
-//      earlier epochs, which need only their corpus feeds);
+//      prefixes;
 //   3. sample RIPE-style probes (continent round-robin), resolve the content
 //      hostnames per probe, traceroute to the resolved addresses;
 //   4. convert IP paths to AS paths and extract per-AS routing decisions;
 //   5. run relationship inference (per-snapshot + §3.3 aggregation),
 //      sibling inference, and collect the per-prefix BGP observations the
 //      PSP criteria need.
+//
+// On a pool these overlap: steps 1 and 2 run in one loop; each earlier
+// epoch's path set and inference run as soon as that epoch's last corpus
+// job lands; the measurement epoch's set and inference, which also need
+// the measurement feed, run beside steps 3-4 (DESIGN.md §6).
 //
 // Everything downstream (Figure 1, 2, 3, Tables 3, 4) consumes the returned
 // PassiveDataset, which contains only analyst-observable artifacts plus the
@@ -49,14 +53,15 @@ struct PassiveStudyConfig {
   InferenceConfig inference;
   /// Engine batching for the snapshot runs (memory control).
   int snapshot_batch = 64;
-  /// Thread count of the study's ThreadPool. The passive campaign runs its
-  /// corpus convergences, then the measurement-epoch convergence beside the
-  /// per-epoch corpus assembly and inference, on it; run_full_study also
-  /// runs the classifier precompute and the post-passive branches (active
-  /// experiments, extended model, analyses) on the same pool. All
-  /// randomness stays in the serial orchestration, so any thread count
-  /// produces byte-identical results; 1 (the default) is the classic
-  /// serial path.
+  /// Thread count of the study's ThreadPool. The passive campaign runs the
+  /// measurement-epoch convergence beside its corpus convergences on it,
+  /// each epoch's corpus assembly and inference as soon as that epoch's
+  /// jobs are done, and the measurement epoch's inference beside the
+  /// traceroutes; run_full_study also runs the classifier precompute and
+  /// the post-passive branches (active experiments, extended model,
+  /// analyses) on the same pool. All randomness stays in the serial
+  /// orchestration, so any thread count produces byte-identical results;
+  /// 1 (the default) is the classic serial path.
   ParallelConfig parallel;
   std::uint64_t seed = 7;
 };

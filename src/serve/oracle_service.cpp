@@ -350,7 +350,7 @@ OracleStatsView OracleService::stats() const {
     view.cache.entries += per.cache.entries;
     view.cache.shards += per.cache.shards;
   }
-  view.cache.capacity = catalog_->cache_budget().total_capacity;
+  view.cache.capacity = catalog_->total_cache_capacity();
   return view;
 }
 

@@ -130,6 +130,12 @@ class StudyCatalog {
   /// answers never change, only cache latency.
   void rebalance_cache() const;
 
+  /// The configured classify-cache budget, shared by every study. Unlike
+  /// cache_budget(), takes no cache lock.
+  std::size_t total_cache_capacity() const {
+    return config_.total_cache_capacity;
+  }
+
   struct CacheBudgetView {
     struct PerStudy {
       std::string name;

@@ -7,8 +7,9 @@
 namespace irp {
 namespace {
 
-/// Shared state of one parallel loop. Participants (workers that dequeued a
-/// drain job, plus the calling thread) claim indices from `next` until the
+/// Shared state of one parallel loop. Index 0 belongs to the calling
+/// thread; participants (workers that dequeued a drain job, plus the caller
+/// once index 0 is done) claim the other indices from `next` until the
 /// range is exhausted or a participant failed. Completion is defined over
 /// *started* participants only: a drain job still sitting in the queue when
 /// the range runs dry simply exits on arrival, so nested loops finish even
@@ -16,7 +17,7 @@ namespace {
 struct LoopState {
   std::size_t n = 0;
   const std::function<void(std::size_t)>* fn = nullptr;
-  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> next{1};
   std::atomic<bool> failed{false};
 
   std::mutex mu;
@@ -24,25 +25,31 @@ struct LoopState {
   std::exception_ptr error;  // First failure; guarded by mu.
   int in_flight = 0;         // Participants mid-drain; guarded by mu.
 
-  void drain() {
+  /// `caller` runs index 0 before claiming any other index.
+  void drain(bool caller) {
     {
       std::lock_guard<std::mutex> lock(mu);
       ++in_flight;
     }
+    if (caller) run(0);
     for (;;) {
       if (failed.load(std::memory_order_relaxed)) break;
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) break;
-      try {
-        (*fn)(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!error) error = std::current_exception();
-        failed.store(true);
-      }
+      run(i);
     }
     std::lock_guard<std::mutex> lock(mu);
     if (--in_flight == 0) done_cv.notify_all();
+  }
+
+  void run(std::size_t i) {
+    try {
+      (*fn)(i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!error) error = std::current_exception();
+      failed.store(true);
+    }
   }
 };
 
@@ -111,9 +118,9 @@ void ThreadPool::run_loop(std::size_t n,
   // even if none of these jobs ever run.
   const std::size_t helpers = std::min(workers_.size(), n - 1);
   for (std::size_t i = 0; i < helpers; ++i)
-    enqueue([state] { state->drain(); });
+    enqueue([state] { state->drain(false); });
 
-  state->drain();
+  state->drain(true);
 
   std::unique_lock<std::mutex> lock(state->mu);
   state->done_cv.wait(lock, [&] { return state->in_flight == 0; });

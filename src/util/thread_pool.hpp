@@ -1,8 +1,8 @@
 // A fixed-size worker pool and deterministic parallel loops.
 //
 // This is the parallelism layer of a study: run_full_study builds one pool
-// and runs every phase on it — per-batch BGP convergence, the
-// measurement-epoch convergence beside per-epoch corpus assembly and
+// and runs every phase on it — the measurement-epoch convergence beside
+// the per-batch corpus convergences and each epoch's corpus assembly and
 // relationship inference, GR path-set precomputation, and the three
 // post-passive branches (active experiments, extended model, analyses),
 // whose own loops nest inside. Three rules keep parallel runs
@@ -16,10 +16,13 @@
 //     plain inline execution on the calling thread, so the default path is
 //     exactly the pre-parallel code.
 //
-// The calling thread always participates in its own loop. Even when every
-// worker is busy (or when parallel_for is invoked from *inside* a worker —
-// nested loops), the caller drains the remaining indices itself, so a loop
-// can never deadlock waiting for pool capacity.
+// The calling thread always participates in its own loop, and it always
+// runs the loop's first index itself, so a job placed first allocates in
+// the caller's malloc arena on every run rather than in whichever worker's
+// arena happened to claim it (DESIGN.md §6). Even when every worker is busy
+// (or when parallel_for is invoked from *inside* a worker — nested loops),
+// the caller drains the remaining indices itself, so a loop can never
+// deadlock waiting for pool capacity.
 #pragma once
 
 #include <cstddef>
@@ -62,9 +65,10 @@ class ThreadPool {
   int thread_count() const { return static_cast<int>(workers_.size()) + 1; }
 
   /// Calls `fn(i)` exactly once for every i in [first, last), distributed
-  /// over the pool, and blocks until every call returned. The first
-  /// exception thrown by any invocation is rethrown here (indices not yet
-  /// claimed when it fires are skipped). Safe to call from inside a worker.
+  /// over the pool, and blocks until every call returned; `fn(first)` runs
+  /// on the calling thread. The first exception thrown by any invocation is
+  /// rethrown here (indices not yet claimed when it fires are skipped).
+  /// Safe to call from inside a worker.
   template <typename Fn>
   void parallel_for(std::size_t first, std::size_t last, Fn&& fn) {
     if (first >= last) return;

@@ -4,6 +4,8 @@
 // to run — all randomness and all result ordering stay serial.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -127,6 +129,75 @@ TEST(ParallelDeterminism, HardwareThreadCountAlsoMatchesSerial) {
   EXPECT_EQ(dump_corpus(serial.corpus), dump_corpus(hw.corpus));
   EXPECT_EQ(dump_decisions(serial), dump_decisions(hw));
   EXPECT_EQ(to_caida_format(serial.inferred), to_caida_format(hw.inferred));
+}
+
+/// The corpus the passive study must build, assembled without its phase
+/// graph: every (epoch, batch) job converged on its own engine, one after
+/// another, each feed added to one PathCorpus as it lands, then the feed of
+/// a separately converged measurement-epoch engine.
+PathCorpus reference_corpus(const GeneratedInternet& net,
+                            const PassiveStudyConfig& config) {
+  const Topology& topo = net.topology;
+  const GroundTruthPolicy policy{&topo};
+  std::vector<std::pair<Ipv4Prefix, Asn>> origins;
+  topo.for_each_as([&](const AsNode& node) {
+    if (!node.prefixes.empty())
+      origins.emplace_back(node.prefixes.front().prefix, node.asn);
+  });
+  const auto batch = static_cast<std::size_t>(config.snapshot_batch);
+  PathCorpus corpus;
+  for (int epoch = 0; epoch <= net.measurement_epoch; ++epoch)
+    for (std::size_t start = 0; start < origins.size(); start += batch) {
+      BgpEngine engine{&topo, &policy, epoch};
+      for (std::size_t i = start; i < std::min(origins.size(), start + batch);
+           ++i)
+        engine.announce(origins[i].first, origins[i].second);
+      engine.run();
+      for (const FeedEntry& entry : engine.feed(net.collector_peers))
+        corpus.add_feed(epoch, entry);
+    }
+
+  std::set<Asn> content;
+  for (const auto& service : net.content.services()) {
+    content.insert(service.origin_asn);
+    for (const auto& cache : service.caches) content.insert(cache.host_asn);
+  }
+  content.insert(net.content_asns.begin(), net.content_asns.end());
+  BgpEngine measurement{&topo, &policy, net.measurement_epoch};
+  announce_all(measurement, topo, {content.begin(), content.end()});
+  for (const FeedEntry& entry : measurement.feed(net.collector_peers))
+    corpus.add_feed(net.measurement_epoch, entry);
+  return corpus;
+}
+
+TEST(ParallelDeterminism, EpochSetsMatchAnIndependentReference) {
+  // Each epoch's path set is assembled, and inferred, by whichever thread
+  // lands that epoch's last corpus job. A follow-up that fired before its
+  // epoch's last job would drop paths at every thread count alike, so this
+  // checks against a corpus built without the phase graph, not against a
+  // serial run.
+  auto gen = test::small_generator_config(11);
+  gen.stubs_per_country = 2;
+  const auto net = generate_internet(gen);
+  PassiveStudyConfig config = test::small_passive_config();
+  config.probes.sample_per_continent = 10;
+  config.snapshot_batch = 16;  // Several jobs per epoch.
+  const PathCorpus reference = reference_corpus(*net, config);
+  ASSERT_EQ(reference.epochs().size(),
+            static_cast<std::size_t>(net->measurement_epoch) + 1);
+
+  for (int threads : {1, 4}) {
+    config.parallel.threads = threads;
+    const PassiveDataset ds = run_passive_study(*net, config);
+    EXPECT_EQ(dump_corpus(ds.corpus), dump_corpus(reference))
+        << "threads=" << threads;
+    ASSERT_EQ(ds.snapshots.size(), reference.epochs().size());
+    for (int epoch : reference.epochs())
+      EXPECT_EQ(to_caida_format(ds.snapshots[static_cast<std::size_t>(epoch)]),
+                to_caida_format(infer_snapshot(reference.paths(epoch),
+                                               config.inference)))
+          << "epoch " << epoch << " at threads=" << threads;
+  }
 }
 
 /// Every artifact of a full study, by name: the CSV reports, the extended

@@ -287,6 +287,7 @@ TEST(StudyCatalog, CacheBudgetIsSharedAndEnforced) {
   // On load every study gets an even split of the budget.
   StudyCatalog::CacheBudgetView budget = catalog->cache_budget();
   EXPECT_EQ(budget.total_capacity, 240u);
+  EXPECT_EQ(catalog->total_cache_capacity(), 240u);
   ASSERT_EQ(budget.per_study.size(), 3u);
   std::size_t total_quota = 0;
   for (const auto& per : budget.per_study) {

@@ -94,6 +94,29 @@ TEST(ThreadPool, SingleThreadDegeneratesToInlineExecution) {
   EXPECT_EQ(*seen.begin(), caller);
 }
 
+TEST(ThreadPool, FirstIndexRunsOnTheCallingThread) {
+  // The loop's first index always runs on the thread that called
+  // parallel_for, also when that thread is itself a worker (nested loops).
+  ThreadPool pool{4};
+  for (int round = 0; round < 50; ++round) {
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> first_on_caller{false};
+    pool.parallel_for(3, 40, [&](std::size_t i) {
+      if (i == 3) first_on_caller = std::this_thread::get_id() == caller;
+    });
+    EXPECT_TRUE(first_on_caller.load()) << "round " << round;
+  }
+  std::atomic<int> nested_on_caller{0};
+  pool.parallel_for(0, 8, [&](std::size_t) {
+    const std::thread::id outer = std::this_thread::get_id();
+    pool.parallel_for(0, 8, [&](std::size_t i) {
+      if (i == 0 && std::this_thread::get_id() == outer)
+        nested_on_caller.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(nested_on_caller.load(), 8);
+}
+
 TEST(ThreadPool, ParallelMapPreservesInputOrder) {
   ThreadPool pool{4};
   const std::vector<std::size_t> out =
