@@ -118,69 +118,91 @@ PathId PathTable::import(const PathTable& src, PathId id,
   return out;
 }
 
-PathTable PathTable::from_flat(std::span<const FlatNode> nodes,
-                               std::vector<std::vector<Asn>> poison_sets) {
+std::vector<PathId> PathTable::intern_flat(
+    std::span<const FlatNode> nodes,
+    std::span<const std::vector<Asn>> poison_pool) {
   IRP_CHECK(!nodes.empty(), "flat path table has no nodes");
-  IRP_CHECK(!poison_sets.empty() && poison_sets[0].empty(),
+  IRP_CHECK(!poison_pool.empty() && poison_pool[0].empty(),
             "flat path table poison pool must start with the empty set");
   const FlatNode& root0 = nodes[0];
   IRP_CHECK(root0.head == 0 && root0.tail == 0 && root0.num_hops == 0 &&
                 root0.poison == 0,
             "flat path table node 0 is not the empty root");
 
-  PathTable table;
-  table.nodes_.clear();
-  table.nodes_.reserve(nodes.size());
-  table.poison_sets_ = std::move(poison_sets);
-  table.roots_.clear();
-  table.roots_[{}] = kEmptyPathId;
-
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const FlatNode& fn = nodes[i];
-    IRP_CHECK(fn.poison < table.poison_sets_.size(),
-              "flat path table node references a missing poison set");
-    if (fn.num_hops == 0) {
-      // A root: self-referential tail, no head. Node 0 is the empty root;
-      // every other root must carry a distinct non-empty poison set.
-      IRP_CHECK(fn.head == 0 && fn.tail == i,
-                "flat path table root node is malformed");
-      if (i > 0) {
-        IRP_CHECK(!table.poison_sets_[fn.poison].empty(),
+  const Mark restore = mark();
+  std::vector<PathId> remap(nodes.size(), kEmptyPathId);
+  // Ids of this table some image node has landed on. Within one valid image
+  // the remap is injective, so a second landing is a node the image holds
+  // twice, even when an earlier image already put that node here.
+  std::vector<bool> claimed(nodes_.size() + nodes.size(), false);
+  claimed[kEmptyPathId] = true;
+  std::uint32_t poisoned_roots = 0;
+  try {
+    for (std::size_t i = 1; i < nodes.size(); ++i) {
+      const FlatNode& fn = nodes[i];
+      IRP_CHECK(fn.poison < poison_pool.size(),
+                "flat path table node references a missing poison set");
+      PathId id;
+      if (fn.num_hops == 0) {
+        // A root: self-referential tail, no head, and a non-empty poison
+        // set no other root of the image carries.
+        IRP_CHECK(fn.head == 0 && fn.tail == i,
+                  "flat path table root node is malformed");
+        IRP_CHECK(!poison_pool[fn.poison].empty(),
                   "flat path table duplicates the empty root");
-        const bool inserted =
-            table.roots_
-                .emplace(table.poison_sets_[fn.poison],
-                         static_cast<PathId>(i))
-                .second;
-        IRP_CHECK(inserted, "flat path table has duplicate poison roots");
+        id = root(poison_pool[fn.poison]);
+        IRP_CHECK(!claimed[id], "flat path table has duplicate poison roots");
+        // root() appends each new set to the pool, so a table's pool lists
+        // the poisoned roots' sets in root order.
+        IRP_CHECK(fn.poison == ++poisoned_roots,
+                  "flat path table poison set is out of root order");
+      } else {
+        IRP_CHECK(fn.head != 0, "flat path table hop node has no head");
+        IRP_CHECK(fn.tail < i, "flat path table tail does not precede node");
+        const FlatNode& tail = nodes[fn.tail];
+        IRP_CHECK(fn.num_hops == tail.num_hops + 1,
+                  "flat path table hop count is inconsistent");
+        IRP_CHECK(fn.poison == tail.poison,
+                  "flat path table poison id not inherited from tail");
+        id = prepend(remap[fn.tail], fn.head);
+        IRP_CHECK(!claimed[id],
+                  "flat path table has duplicate interned nodes");
       }
-    } else {
-      IRP_CHECK(fn.head != 0, "flat path table hop node has no head");
-      IRP_CHECK(fn.tail < i, "flat path table tail does not precede node");
-      const FlatNode& tail = nodes[fn.tail];
-      IRP_CHECK(fn.num_hops == tail.num_hops + 1,
-                "flat path table hop count is inconsistent");
-      IRP_CHECK(fn.poison == tail.poison,
-                "flat path table poison id not inherited from tail");
-      const bool inserted =
-          table.intern_
-              .try_emplace(intern_key(fn.head, fn.tail),
-                           static_cast<PathId>(i))
-              .second;
-      IRP_CHECK(inserted, "flat path table has duplicate interned nodes");
+      claimed[id] = true;
+      remap[i] = id;
     }
-    Node node;
-    node.head = fn.head;
-    node.tail = fn.tail;
-    node.num_hops = fn.num_hops;
-    node.poison = fn.poison;
-    table.nodes_.push_back(node);
+    // The pool holds the empty set and the roots' sets, nothing more; the
+    // first set past them names the fault.
+    const std::size_t used = poisoned_roots + 1;
+    const auto first = poison_pool.begin();
+    IRP_CHECK(used == poison_pool.size() ||
+                  std::find(first, first + used, poison_pool[used]) ==
+                      first + used,
+              "flat path table poison pool repeats a set");
+    IRP_CHECK(used == poison_pool.size(),
+              "flat path table poison pool has an unused set");
+  } catch (...) {
+    truncate(restore);
+    throw;
   }
+  return remap;
+}
 
-  table.stats_ = Stats{};
-  table.stats_.nodes = table.nodes_.size();
-  table.stats_.poison_sets = table.poison_sets_.size() - 1;
-  return table;
+void PathTable::truncate(const Mark& mark) {
+  IRP_CHECK(mark.nodes >= 1 && mark.nodes <= nodes_.size() &&
+                mark.poison_sets >= 1 &&
+                mark.poison_sets <= poison_sets_.size(),
+            "path table mark is newer than the table");
+  for (std::size_t i = mark.nodes; i < nodes_.size(); ++i) {
+    const Node& n = nodes_[i];
+    if (n.num_hops == 0)
+      roots_.erase(poison_sets_[n.poison]);
+    else
+      intern_.erase(intern_key(n.head, n.tail));
+  }
+  nodes_.resize(mark.nodes);
+  poison_sets_.resize(mark.poison_sets);
+  stats_ = mark.stats;
 }
 
 }  // namespace irp

@@ -127,9 +127,10 @@ class PathTable {
 
   // -- Snapshot hooks (RouteOracle binary images, see src/serve/).
   //
-  // A table serializes as its flat node array plus the poison-set pool; ids
-  // survive the round trip unchanged, so route records referencing PathIds
-  // stay valid against the rebuilt table.
+  // A table serializes as its flat node array plus the poison-set pool.
+  // intern_flat() reads such an image back into any table, empty or not, and
+  // reports where each image id landed, so route records referencing image
+  // PathIds can be remapped on the fly.
 
   /// One node of the flat image; mirrors the private Node layout.
   struct FlatNode {
@@ -150,12 +151,31 @@ class PathTable {
     return poison_sets_[index];
   }
 
-  /// Rebuilds a table from a flat image in O(nodes). Every tree invariant is
-  /// re-validated (tails precede their node, hop counts are consistent,
-  /// poison ids inherited, no duplicate intern entries); malformed input
-  /// throws CheckError instead of producing a table with undefined walks.
-  static PathTable from_flat(std::span<const FlatNode> nodes,
-                             std::vector<std::vector<Asn>> poison_sets);
+  /// Validates a flat image and interns its nodes into this table in image
+  /// order, in O(nodes); returns `remap`, the id here of every image id.
+  /// Interning node i is one root() or prepend() call, so the ids and node
+  /// layout equal those of import()ing the image's ids in order, and into an
+  /// empty table `remap` is the identity. The image must be what a table
+  /// serializes: node 0 the empty root, tails preceding their nodes,
+  /// consistent hop counts and inherited poison ids, no node twice within
+  /// the image (whether or not this table already holds it), and a
+  /// canonical pool — the empty set first, then one set per poisoned root
+  /// in root order, each used once and none repeated. Anything else throws
+  /// CheckError and leaves the table as it was.
+  std::vector<PathId> intern_flat(
+      std::span<const FlatNode> nodes,
+      std::span<const std::vector<Asn>> poison_pool);
+
+  /// A restore point: truncate(mark()) drops every node, intern key, root
+  /// and poison set added after the mark and restores the counters, so a
+  /// failed multi-step load leaves the table unchanged.
+  struct Mark {
+    std::size_t nodes = 0;
+    std::size_t poison_sets = 0;
+    Stats stats;
+  };
+  Mark mark() const { return Mark{nodes_.size(), poison_sets_.size(), stats_}; }
+  void truncate(const Mark& mark);
 
  private:
   struct Node {

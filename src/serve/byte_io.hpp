@@ -23,16 +23,32 @@
 
 namespace irp {
 
+inline constexpr std::uint64_t kFnv1a64Offset = 14695981039346656037ULL;
+inline constexpr std::uint64_t kFnv1a64Prime = 1099511628211ULL;
+
 /// FNV-1a 64-bit hash; the payload checksum of snapshot images and wire
 /// frames (fast, allocation-free, good avalanche for corruption detection —
 /// not cryptographic).
 inline std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
+  std::uint64_t hash = kFnv1a64Offset;
+  for (unsigned char c : bytes) hash = (hash ^ c) * kFnv1a64Prime;
   return hash;
+}
+
+/// fnv1a64(bytes.substr(from)) and fnv1a64(bytes), from one walk over the
+/// bytes: the two multiply chains are independent, so the pair costs about
+/// what one hash does.
+struct Fnv1a64Pair {
+  std::uint64_t suffix = 0;
+  std::uint64_t whole = 0;
+};
+inline Fnv1a64Pair fnv1a64_pair(std::string_view bytes, std::size_t from) {
+  Fnv1a64Pair h{kFnv1a64Offset, fnv1a64(bytes.substr(0, from))};
+  for (unsigned char c : bytes.substr(from)) {
+    h.suffix = (h.suffix ^ c) * kFnv1a64Prime;
+    h.whole = (h.whole ^ c) * kFnv1a64Prime;
+  }
+  return h;
 }
 
 /// Little-endian append-only buffer.

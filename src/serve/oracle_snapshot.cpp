@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <span>
+#include <unordered_set>
 
 #include "core/passive_study.hpp"
 #include "serve/byte_io.hpp"
@@ -128,6 +129,16 @@ std::string OracleSnapshot::to_bytes() const {
 }
 
 OracleSnapshot OracleSnapshot::from_bytes(std::string_view bytes) {
+  PathTable paths;
+  ImageInfo info;
+  OracleSnapshot snap = from_bytes_into(bytes, paths, info);
+  snap.paths = std::move(paths);
+  return snap;
+}
+
+OracleSnapshot OracleSnapshot::from_bytes_into(std::string_view bytes,
+                                               PathTable& paths,
+                                               ImageInfo& info) {
   IRP_CHECK(bytes.size() >= kHeaderBytes,
             "oracle snapshot: image smaller than header");
   ByteReader header{bytes.substr(0, kHeaderBytes), std::string(kContext)};
@@ -140,13 +151,17 @@ OracleSnapshot OracleSnapshot::from_bytes(std::string_view bytes) {
   const std::uint64_t checksum = header.u64();
   IRP_CHECK(payload_size == bytes.size() - kHeaderBytes,
             "oracle snapshot: truncated image (payload size mismatch)");
-  const std::string_view payload = bytes.substr(kHeaderBytes);
-  IRP_CHECK(fnv1a64(payload) == checksum,
+  // One walk yields the payload checksum and the whole image's hash.
+  const Fnv1a64Pair hashes = fnv1a64_pair(bytes, kHeaderBytes);
+  IRP_CHECK(hashes.suffix == checksum,
             "oracle snapshot: checksum mismatch (corrupted image)");
+  info.hash = hashes.whole;
 
-  ByteReader r{payload, std::string(kContext)};
+  ByteReader r{bytes.substr(kHeaderBytes), std::string(kContext)};
   OracleSnapshot snap;
   snap.num_ases = r.u32();
+  IRP_CHECK(snap.num_ases <= kOracleSnapshotMaxAses,
+            "oracle snapshot: num_ases exceeds the loader limit");
 
   const std::uint32_t num_rel = r.count(9);
   snap.relationships.reserve(num_rel);
@@ -156,6 +171,7 @@ OracleSnapshot OracleSnapshot::from_bytes(std::string_view bytes) {
     e.b = r.u32();
     e.rel = r.u8();
     IRP_CHECK(e.rel <= 2, "oracle snapshot: invalid relationship label");
+    IRP_CHECK(e.a < e.b, "oracle snapshot: relationship pair is not a < b");
     snap.relationships.push_back(e);
   }
 
@@ -198,38 +214,43 @@ OracleSnapshot OracleSnapshot::from_bytes(std::string_view bytes) {
     snap.observations.push_back(std::move(block));
   }
 
+  // The path section goes straight into `paths`; route ids below are
+  // remapped through `remap` as they are read.
   const std::uint32_t num_nodes = r.count(16);
-  std::vector<PathTable::FlatNode> nodes;
-  nodes.reserve(num_nodes);
-  for (std::uint32_t i = 0; i < num_nodes; ++i) {
-    PathTable::FlatNode n;
+  std::vector<PathTable::FlatNode> nodes(num_nodes);
+  for (PathTable::FlatNode& n : nodes) {
     n.head = r.u32();
     n.tail = r.u32();
     n.num_hops = r.u32();
     n.poison = r.u32();
-    nodes.push_back(n);
   }
   const std::uint32_t num_poison = r.count(4);
-  std::vector<std::vector<Asn>> poison_sets;
-  poison_sets.reserve(num_poison);
+  std::vector<std::vector<Asn>> poison_pool;
+  poison_pool.reserve(num_poison);
   for (std::uint32_t i = 0; i < num_poison; ++i)
-    poison_sets.push_back(r.asns());
-  snap.paths = PathTable::from_flat(nodes, std::move(poison_sets));
+    poison_pool.push_back(r.asns());
+  const std::vector<PathId> remap = paths.intern_flat(nodes, poison_pool);
+  info.num_paths = num_nodes;
 
   const std::uint32_t num_prefixes = r.count(13);
   snap.routes.reserve(num_prefixes);
+  std::unordered_set<Ipv4Prefix, Ipv4PrefixHash> seen_prefixes;
+  seen_prefixes.reserve(num_prefixes);
   for (std::uint32_t i = 0; i < num_prefixes; ++i) {
     PrefixRoutes pr;
     pr.prefix = read_canonical_prefix(r);
+    IRP_CHECK(seen_prefixes.insert(pr.prefix).second,
+              "oracle snapshot: duplicate prefix route blocks");
     pr.origin = r.u32();
     const std::uint32_t num_entries = r.count(17);
     pr.entries.reserve(num_entries);
     for (std::uint32_t e = 0; e < num_entries; ++e) {
       RouteEntry entry;
       entry.asn = r.u32();
-      entry.selected = r.u32();
-      IRP_CHECK(entry.selected < snap.paths.num_paths(),
+      const PathId selected = r.u32();
+      IRP_CHECK(selected < remap.size(),
                 "oracle snapshot: route references a missing path");
+      entry.selected = remap[selected];
       entry.next_hop = r.u32();
       const std::uint8_t self_originated = r.u8();
       IRP_CHECK(self_originated <= 1,
@@ -239,9 +260,10 @@ OracleSnapshot OracleSnapshot::from_bytes(std::string_view bytes) {
       entry.alternates.reserve(num_alt);
       for (std::uint32_t a = 0; a < num_alt; ++a) {
         AlternateRoute alt;
-        alt.path = r.u32();
-        IRP_CHECK(alt.path < snap.paths.num_paths(),
+        const PathId path = r.u32();
+        IRP_CHECK(path < remap.size(),
                   "oracle snapshot: alternate references a missing path");
+        alt.path = remap[path];
         alt.from_asn = r.u32();
         entry.alternates.push_back(alt);
       }

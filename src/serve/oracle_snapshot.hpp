@@ -15,9 +15,16 @@
 // and corrupted payloads (checksum mismatch) with CheckError — never UB.
 // Inside the payload every count is bounds-checked against the remaining
 // bytes before any allocation, the path table re-validates its tree
-// invariants on rebuild (PathTable::from_flat), and fields the writer never
-// produces (flag bytes other than 0/1, prefixes with host bits) are
-// rejected rather than normalized.
+// invariants and pool order while it is interned (PathTable::intern_flat),
+// and fields the writer never produces (flag bytes other than 0/1, prefixes
+// with host bits, a relationship pair with a >= b, a prefix with two route
+// blocks) are rejected rather than normalized, as is a num_ases above
+// kOracleSnapshotMaxAses.
+//
+// One decoder serves both loads: from_bytes_into() interns the path table
+// into a table that may already hold other images' paths (StudyCatalog's
+// shared arena), remapping route ids as it parses them, and from_bytes() is
+// that decoder run into a fresh table the snapshot then owns.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +45,11 @@ struct PassiveDataset;
 /// "IRPO" in little-endian byte order.
 inline constexpr std::uint32_t kOracleSnapshotMagic = 0x4F505249u;
 inline constexpr std::uint32_t kOracleSnapshotVersion = 1;
+/// The largest num_ases the loader accepts. A study's index allocates
+/// per-AS state, so a corrupted count must fail as a bad image rather than
+/// become a multi-gigabyte allocation; generated Internets stay far below
+/// it (under 10^6 ASes even at the CLI's largest --scale).
+inline constexpr std::uint32_t kOracleSnapshotMaxAses = 1u << 24;
 
 /// The frozen study image. Plain data; build with snapshot_study(), persist
 /// with save()/load() or to_bytes()/from_bytes().
@@ -104,9 +116,27 @@ struct OracleSnapshot {
 
   /// Parses an image; throws CheckError on wrong magic/version, truncation,
   /// checksum mismatch, structurally malformed payloads, or non-canonical
-  /// fields (a flag byte other than 0/1, a prefix with host bits set), so
-  /// any image that loads re-encodes to the same bytes.
+  /// fields (see the file comment), so any image that loads re-encodes to
+  /// the same bytes and builds an OracleIndex.
   static OracleSnapshot from_bytes(std::string_view bytes);
+
+  /// What from_bytes_into() reports about the image besides its contents.
+  struct ImageInfo {
+    std::uint64_t hash = 0;     ///< fnv1a64 of the whole image.
+    std::size_t num_paths = 0;  ///< Nodes in the image's path table.
+  };
+
+  /// The decoder itself: from_bytes() with the path table interned into
+  /// `paths` (PathTable::intern_flat) instead of the snapshot's own. Route
+  /// and alternate ids are remapped as they are parsed, so they index
+  /// `paths`, and the result's own `paths` stays empty. from_bytes() is
+  /// this call into a fresh table, so both fail with the same messages.
+  /// The whole-image hash comes from the same walk as the payload
+  /// checksum. On CheckError `paths` may keep the image's nodes (a
+  /// route-section error comes after them); a caller that must stay
+  /// unchanged restores a PathTable::mark().
+  static OracleSnapshot from_bytes_into(std::string_view bytes,
+                                        PathTable& paths, ImageInfo& info);
 
   void save(const std::string& path) const;
   static OracleSnapshot load(const std::string& path);

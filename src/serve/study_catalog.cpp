@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "serve/byte_io.hpp"
+#include "util/file.hpp"
 
 namespace irp {
 namespace {
@@ -15,52 +15,49 @@ std::string checksum_hex(std::uint64_t checksum) {
   return std::string(buf);
 }
 
-/// Re-interns every path of `snapshot` into `arena` and rewrites the route
-/// entries to arena ids. Importing in id order makes every import() one
-/// step: from_flat() guarantees a node's tail precedes it, so the tail is
-/// already in the memo.
-void merge_paths_into_arena(OracleSnapshot& snapshot, PathTable& arena) {
-  const PathTable& own = snapshot.paths;
-  std::vector<PathId> remap;
-  for (PathId id = 0; id < own.num_paths(); ++id)
-    arena.import(own, id, remap);
-  for (OracleSnapshot::PrefixRoutes& pr : snapshot.routes) {
-    for (OracleSnapshot::RouteEntry& entry : pr.entries) {
-      entry.selected = remap[entry.selected];
-      for (OracleSnapshot::AlternateRoute& alt : entry.alternates)
-        alt.path = remap[alt.path];
-    }
-  }
-}
-
 }  // namespace
 
 StudyCatalog::StudyCatalog(StudyCatalogConfig config) : config_(config) {}
 
-const StudyCatalog::Study& StudyCatalog::add_study(std::string name,
-                                                   OracleSnapshot snapshot) {
+const StudyCatalog::Study& StudyCatalog::add_study(
+    std::string name, const OracleSnapshot& snapshot) {
+  return add_study_bytes(std::move(name), snapshot.to_bytes());
+}
+
+const StudyCatalog::Study& StudyCatalog::add_study_file(
+    std::string name, const std::string& path) {
+  return add_study_bytes(std::move(name), read_file(path));
+}
+
+const StudyCatalog::Study& StudyCatalog::add_study_bytes(
+    std::string name, std::string_view image) {
   IRP_CHECK(!name.empty(), "study name must be nonempty");
   IRP_CHECK(name.find('=') == std::string::npos &&
                 name.find('@') == std::string::npos,
             "study name must not contain '=' or '@'");
   IRP_CHECK(find(name) == nullptr, "duplicate study name '" + name + "'");
 
-  // Identity is content-derived: checksum the canonical image bytes before
-  // the arena remap rewrites the path table.
-  const std::string image = snapshot.to_bytes();
-
   auto study = std::make_unique<Study>();
-  study->name = name;
-  study->id = name + "@" + checksum_hex(fnv1a64(image));
+  // A rejected image (the decoder or the index may fail after some of its
+  // paths are interned) leaves the arena as it was.
+  const PathTable::Mark restore = arena_.mark();
+  try {
+    OracleSnapshot::ImageInfo info;
+    study->snapshot = OracleSnapshot::from_bytes_into(image, arena_, info);
+    // The loader accepts canonical images only, so these are the bytes
+    // to_bytes() would write: identity is content-derived.
+    study->id = name + "@" + checksum_hex(info.hash);
+    study->own_paths = info.num_paths;
+    // The index's cache starts disabled; it is budgeted below, across all
+    // studies.
+    study->index = std::make_unique<OracleIndex>(&study->snapshot, arena_);
+  } catch (...) {
+    arena_.truncate(restore);
+    throw;
+  }
+  study->name = std::move(name);
   study->ordinal = static_cast<std::uint32_t>(studies_.size());
   study->image_bytes = image.size();
-  study->own_paths = snapshot.paths.num_paths();
-  study->snapshot = std::move(snapshot);
-  merge_paths_into_arena(study->snapshot, arena_);
-
-  // The index's cache starts disabled; it is budgeted below, across all
-  // studies.
-  study->index = std::make_unique<OracleIndex>(&study->snapshot, arena_);
   studies_.push_back(std::move(study));
 
   // A new study resets every quota to an even split; rebalance_cache() will
@@ -68,11 +65,6 @@ const StudyCatalog::Study& StudyCatalog::add_study(std::string name,
   const std::size_t quota = even_quota();
   for (const auto& s : studies_) s->index->set_cache_capacity(quota);
   return *studies_.back();
-}
-
-const StudyCatalog::Study& StudyCatalog::add_study_file(
-    std::string name, const std::string& path) {
-  return add_study(std::move(name), OracleSnapshot::load(path));
 }
 
 const StudyCatalog::Study* StudyCatalog::find(

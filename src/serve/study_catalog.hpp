@@ -8,11 +8,12 @@
 // resources are deliberately shared across studies:
 //
 //   * One path-table arena. Snapshot epochs of the same topology intern
-//     nearly identical AS-path trees; on load every study's paths are
-//     re-interned into one global PathTable (an O(nodes) walk of the flat
-//     image — tails precede their nodes, so a single forward pass remaps
-//     every PathId) and the study's route entries are rewritten to arena
-//     ids. Duplicate suffixes across studies collapse to one node.
+//     nearly identical AS-path trees; every study's image is decoded
+//     straight into one global PathTable (PathTable::intern_flat: tails
+//     precede their nodes, so one forward pass over the flat image interns
+//     every node and yields its arena id), and route entries get arena ids
+//     as they are parsed. Duplicate suffixes across studies collapse to one
+//     node, and no study keeps a table of its own.
 //   * One classify-cache budget. Each study's sharded LRU keeps its own
 //     lock structure (no cross-study contention), but the total entry
 //     budget is a catalog-level constant: quotas start as an even split and
@@ -22,12 +23,18 @@
 //
 // Identity: a study id is "<name>@<fnv1a64 of the snapshot image>" — the
 // operator-supplied name makes it addressable, the content checksum makes
-// it unambiguous across re-converged epochs with the same name. Lookup
-// accepts the bare name, the full id, or "" for the default (first-loaded)
-// study; anything else is answered with UnknownStudyError / the wire's
+// it unambiguous across re-converged epochs with the same name. The hash is
+// taken over the image bytes as loaded, in the same walk as the payload
+// checksum; the loader accepts canonical images only, so these are the
+// bytes OracleSnapshot::to_bytes() writes for the study. Lookup accepts the
+// bare name, the full id, or "" for the default (first-loaded) study;
+// anything else is answered with UnknownStudyError / the wire's
 // kUnknownStudy.
 //
-// Thread safety: the catalog is immutable after the last add_study() call;
+// A rejected image (bad name, any loader or index error) leaves the catalog
+// exactly as it was, arena included.
+//
+// Thread safety: the catalog is immutable after the last study is added;
 // queries and rebalance_cache() may then run concurrently from any thread
 // (the only mutable state is inside each study's ClassifyCache, which
 // locks per shard).
@@ -76,10 +83,13 @@ class StudyCatalog {
     std::string name;  ///< Operator-supplied; unique within the catalog.
     std::string id;    ///< "<name>@<16-hex content checksum>".
     std::uint32_t ordinal = 0;  ///< Load order; 0 is the default study.
-    OracleSnapshot snapshot;    ///< Route PathIds remapped to the arena.
+    /// The decoded study. Its route and alternate PathIds index the
+    /// catalog's paths(), and its own `paths` table stays empty, so it is
+    /// not to be re-encoded with to_bytes().
+    OracleSnapshot snapshot;
     std::unique_ptr<OracleIndex> index;
     std::size_t image_bytes = 0;  ///< Serialized snapshot size.
-    std::size_t own_paths = 0;    ///< Path nodes before arena sharing.
+    std::size_t own_paths = 0;    ///< Path nodes in the image.
   };
 
   explicit StudyCatalog(StudyCatalogConfig config = {});
@@ -87,15 +97,20 @@ class StudyCatalog {
   StudyCatalog(const StudyCatalog&) = delete;
   StudyCatalog& operator=(const StudyCatalog&) = delete;
 
-  /// Registers `snapshot` under `name` (nonempty, no '=' or '@', unique);
-  /// the first study added becomes the default. Re-interns the snapshot's
-  /// paths into the shared arena and resets every study's cache quota to an
-  /// even split of the budget. Returns the new study.
-  const Study& add_study(std::string name, OracleSnapshot snapshot);
+  /// Registers the snapshot image `image` under `name` (nonempty, no '='
+  /// or '@', unique); the first study added becomes the default. Decodes the
+  /// image once, interning its paths into the shared arena, and resets every
+  /// study's cache quota to an even split of the budget. Returns the new
+  /// study; on CheckError the catalog is unchanged.
+  const Study& add_study_bytes(std::string name, std::string_view image);
 
-  /// load()s `path` and add_study()s it; the content checksum is computed
-  /// from the file bytes.
+  /// read_file()s `path` and add_study_bytes() it.
   const Study& add_study_file(std::string name, const std::string& path);
+
+  /// add_study_bytes(name, snapshot.to_bytes()): a decoded snapshot is
+  /// re-encoded first, so prefer the byte-level loads where the image is at
+  /// hand.
+  const Study& add_study(std::string name, const OracleSnapshot& snapshot);
 
   /// Resolves "" to the default study, otherwise matches a study name or
   /// full id; nullptr when nothing matches.

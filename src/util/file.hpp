@@ -6,7 +6,9 @@
 
 namespace irp {
 
-/// Reads a whole file; throws CheckError when the file cannot be opened.
+/// Reads a whole regular file with one presized read. Throws CheckError
+/// when the path cannot be opened, is not a regular file (a directory, a
+/// device) or cannot be read in full.
 std::string read_file(const std::string& path);
 
 /// Writes (truncates) a whole file; throws CheckError on failure.

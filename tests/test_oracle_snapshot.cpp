@@ -179,8 +179,8 @@ TEST(OracleSnapshot, ImageMatchesTheMaterializingBuilder) {
 // -- Canonical loading: an image that loads must re-encode to itself, so
 // the loader rejects field values to_bytes() can never write.
 
-/// A hand-built image whose prefixes and route flag are easy to locate.
-std::string tiny_image() {
+/// A hand-built snapshot whose prefixes and route flag are easy to locate.
+OracleSnapshot tiny_snapshot() {
   OracleSnapshot snap;
   snap.num_ases = 100;
   snap.observations.push_back(OracleSnapshot::ObservationBlock{
@@ -193,8 +193,10 @@ std::string tiny_image() {
   entry.self_originated = true;
   pr.entries.push_back(entry);
   snap.routes.push_back(pr);
-  return snap.to_bytes();
+  return snap;
 }
+
+std::string tiny_image() { return tiny_snapshot().to_bytes(); }
 
 std::string le32(std::uint32_t v) {
   std::string out(4, '\0');
@@ -262,6 +264,29 @@ TEST(OracleSnapshot, RejectsPrefixesWithHostBitsSet) {
     mutated[locate(image, prefix)] = '\x01';  // Lowest network byte.
     expect_rejected(resealed(mutated), "host bits");
   }
+}
+
+TEST(OracleSnapshot, RejectsImagesNoIndexCouldServe) {
+  // The writer orients every relationship a < b and writes one route block
+  // per prefix; the index cannot be built over anything else, so the loader
+  // turns it away first, with the same error for every caller.
+  for (const auto& [a, b] : {std::pair<Asn, Asn>{5, 5}, {6, 5}}) {
+    OracleSnapshot snap = tiny_snapshot();
+    snap.relationships.push_back(OracleSnapshot::RelationshipEntry{a, b, 0});
+    expect_rejected(snap.to_bytes(), "relationship pair is not a < b");
+  }
+  OracleSnapshot twice = tiny_snapshot();
+  twice.routes.push_back(twice.routes.front());
+  expect_rejected(twice.to_bytes(), "duplicate prefix route blocks");
+
+  // A num_ases past the limit would size per-AS arrays from a corrupted
+  // field; the limit itself still loads.
+  OracleSnapshot huge = tiny_snapshot();
+  huge.num_ases = kOracleSnapshotMaxAses + 1;
+  expect_rejected(huge.to_bytes(), "num_ases exceeds the loader limit");
+  huge.num_ases = kOracleSnapshotMaxAses;
+  EXPECT_EQ(OracleSnapshot::from_bytes(huge.to_bytes()).num_ases,
+            kOracleSnapshotMaxAses);
 }
 
 TEST(OracleSnapshot, RejectsBadMagic) {

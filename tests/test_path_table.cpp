@@ -1,10 +1,12 @@
 // PathTable unit tests: hash-consing semantics (same path <=> same id),
 // prepend/contains/length, poison-set identity, a randomized stress run
-// that cross-checks the table against materialized AsPath values, and
-// cross-table import.
+// that cross-checks the table against materialized AsPath values,
+// cross-table import, and loading flat images (intern_flat) with rollback.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <string>
 #include <span>
 #include <tuple>
 #include <vector>
@@ -150,59 +152,6 @@ TEST(PathTable, RandomizedStressRoundTrips) {
   EXPECT_LT(table.stats().nodes, 4000u * 6);
 }
 
-TEST(PathTable, FlatRoundTripPreservesIdsAndValues) {
-  // Build a table with plain paths, poison roots, and shared suffixes, dump
-  // it via flat_node()/poison_set_at(), rebuild with from_flat(), and check
-  // every id materializes identically — the oracle snapshot contract.
-  PathTable table;
-  std::vector<std::pair<PathId, AsPath>> interned;
-  auto keep = [&](const AsPath& value) {
-    interned.emplace_back(table.intern(value), value);
-  };
-  keep(AsPath{{10, 20, 30}, {}});
-  keep(AsPath{{40, 20, 30}, {}});          // Shares the [20 30] suffix.
-  keep(AsPath{{10}, {99}});                // Poisoned root + hop.
-  keep(AsPath{{50, 10}, {99}});
-  keep(AsPath{{50, 10}, {99, 98}});        // Distinct poison set.
-  keep(AsPath{{}, {7}});                   // Bare poison root.
-
-  std::vector<PathTable::FlatNode> nodes;
-  for (PathId id = 0; id < table.num_paths(); ++id)
-    nodes.push_back(table.flat_node(id));
-  std::vector<std::vector<Asn>> poison_sets;
-  for (std::size_t i = 0; i < table.num_poison_sets(); ++i)
-    poison_sets.push_back(table.poison_set_at(i));
-
-  const PathTable rebuilt = PathTable::from_flat(nodes, std::move(poison_sets));
-  ASSERT_EQ(rebuilt.num_paths(), table.num_paths());
-  for (const auto& [id, value] : interned) {
-    EXPECT_EQ(rebuilt.materialize(id), value) << value.to_string();
-    EXPECT_EQ(rebuilt.num_hops(id), value.hops.size());
-    EXPECT_EQ(rebuilt.length(id), value.length());
-  }
-}
-
-TEST(PathTable, RebuiltTableKeepsInterning) {
-  // After from_flat, interning an existing path must return its old id (the
-  // rebuilt intern map is live, not just a dead archive).
-  PathTable table;
-  const AsPath value{{1, 2, 3}, {}};
-  const PathId id = table.intern(value);
-
-  std::vector<PathTable::FlatNode> nodes;
-  for (PathId i = 0; i < table.num_paths(); ++i)
-    nodes.push_back(table.flat_node(i));
-  std::vector<std::vector<Asn>> poison_sets;
-  for (std::size_t i = 0; i < table.num_poison_sets(); ++i)
-    poison_sets.push_back(table.poison_set_at(i));
-
-  PathTable rebuilt = PathTable::from_flat(nodes, std::move(poison_sets));
-  EXPECT_EQ(rebuilt.intern(value), id);
-  // New paths keep working on top of the rebuilt state.
-  const PathId extended = rebuilt.prepend(id, 9);
-  EXPECT_EQ(rebuilt.materialize(extended).hops, (std::vector<Asn>{9, 1, 2, 3}));
-}
-
 TEST(PathTable, ImportMatchesInterningTheMaterializedPath) {
   // import() is the cross-table copy behind the oracle snapshot builder and
   // the study catalog; their image bytes rely on it creating exactly the
@@ -259,54 +208,260 @@ TEST(PathTable, ImportMatchesInterningTheMaterializedPath) {
     EXPECT_EQ(by_import.poison_set_at(i), by_value.poison_set_at(i));
 }
 
-TEST(PathTable, FromFlatRejectsMalformedImages) {
-  const auto flat = [](Asn head, PathId tail, std::uint32_t hops,
-                       std::uint32_t poison) {
-    PathTable::FlatNode n;
-    n.head = head;
-    n.tail = tail;
-    n.num_hops = hops;
-    n.poison = poison;
-    return n;
-  };
+// -- Flat images: intern_flat() is the loader of every oracle image.
+
+/// A table's flat image: its node array and its poison-set pool.
+struct FlatImage {
+  std::vector<PathTable::FlatNode> nodes;
+  std::vector<std::vector<Asn>> pool;
+};
+
+FlatImage flat_image(const PathTable& table) {
+  FlatImage image;
+  for (PathId id = 0; id < table.num_paths(); ++id)
+    image.nodes.push_back(table.flat_node(id));
+  for (std::size_t i = 0; i < table.num_poison_sets(); ++i)
+    image.pool.push_back(table.poison_set_at(i));
+  return image;
+}
+
+bool same_image(const FlatImage& a, const FlatImage& b) {
+  if (a.nodes.size() != b.nodes.size() || a.pool != b.pool) return false;
+  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+    const PathTable::FlatNode& x = a.nodes[i];
+    const PathTable::FlatNode& y = b.nodes[i];
+    if (std::tie(x.head, x.tail, x.num_hops, x.poison) !=
+        std::tie(y.head, y.tail, y.num_hops, y.poison))
+      return false;
+  }
+  return true;
+}
+
+PathTable::FlatNode flat(Asn head, PathId tail, std::uint32_t hops,
+                         std::uint32_t poison) {
+  PathTable::FlatNode n;
+  n.head = head;
+  n.tail = tail;
+  n.num_hops = hops;
+  n.poison = poison;
+  return n;
+}
+
+/// A table with plain paths, poisoned roots and shared suffixes.
+PathTable mixed_table(std::vector<std::pair<PathId, AsPath>>* interned) {
+  PathTable table;
+  for (const AsPath& value : {AsPath{{10, 20, 30}, {}},
+                              AsPath{{40, 20, 30}, {}},  // Shared suffix.
+                              AsPath{{10}, {99}},        // Poisoned root.
+                              AsPath{{50, 10}, {99}},
+                              AsPath{{50, 10}, {99, 98}},  // Another set.
+                              AsPath{{}, {7}}}) {          // Bare root.
+    const PathId id = table.intern(value);
+    if (interned != nullptr) interned->emplace_back(id, value);
+  }
+  return table;
+}
+
+/// Expects intern_flat(image) on `table` to throw a CheckError naming
+/// `what`, and the table to come out exactly as it went in: same nodes,
+/// pool and counters, and no stale intern keys or roots (interning a
+/// further image lands where it lands on an untouched copy).
+void expect_rejected(PathTable& table, const FlatImage& image,
+                     const std::string& what) {
+  const PathTable untouched = table;
+  try {
+    (void)table.intern_flat(image.nodes, image.pool);
+    ADD_FAILURE() << "expected CheckError mentioning '" << what << "'";
+    return;
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(same_image(flat_image(table), flat_image(untouched)));
+  EXPECT_EQ(table.stats().nodes, untouched.stats().nodes);
+  EXPECT_EQ(table.stats().hits, untouched.stats().hits);
+  EXPECT_EQ(table.stats().poison_sets, untouched.stats().poison_sets);
+
+  PathTable copy = untouched;
+  const FlatImage next = flat_image(mixed_table(nullptr));
+  EXPECT_EQ(table.intern_flat(next.nodes, next.pool),
+            copy.intern_flat(next.nodes, next.pool));
+  EXPECT_TRUE(same_image(flat_image(table), flat_image(copy)));
+}
+
+TEST(PathTable, InternFlatIntoAnEmptyTableRebuildsItIdForId) {
+  std::vector<std::pair<PathId, AsPath>> interned;
+  const PathTable table = mixed_table(&interned);
+  const FlatImage image = flat_image(table);
+
+  PathTable rebuilt;
+  const std::vector<PathId> remap =
+      rebuilt.intern_flat(image.nodes, image.pool);
+  ASSERT_EQ(remap.size(), table.num_paths());
+  for (PathId id = 0; id < remap.size(); ++id) EXPECT_EQ(remap[id], id);
+  EXPECT_TRUE(same_image(flat_image(rebuilt), image));
+  for (const auto& [id, value] : interned) {
+    EXPECT_EQ(rebuilt.materialize(id), value) << value.to_string();
+    EXPECT_EQ(rebuilt.length(id), value.length());
+  }
+  EXPECT_EQ(rebuilt.stats().nodes, table.num_paths());
+  EXPECT_EQ(rebuilt.stats().poison_sets, table.num_poison_sets() - 1);
+
+  // The intern map and roots are live: existing paths keep their ids, and
+  // new ones extend the rebuilt state.
+  for (const auto& [id, value] : interned)
+    EXPECT_EQ(rebuilt.intern(value), id);
+  EXPECT_EQ(rebuilt.num_paths(), table.num_paths());
+  const PathId extended = rebuilt.prepend(interned[0].first, 9);
+  EXPECT_EQ(rebuilt.materialize(extended).hops,
+            (std::vector<Asn>{9, 10, 20, 30}));
+}
+
+TEST(PathTable, InternFlatIntoANonEmptyTableMatchesInterningValues) {
+  // An image interned into a table that already holds overlapping paths
+  // (and poison sets) gets, id for id, what intern(materialize(id)) gets,
+  // and the table grows exactly as interning the values would grow it.
+  PathTable src;
+  Rng rng{20261019};
+  for (int i = 0; i < 800; ++i) {
+    AsPath value;
+    const std::size_t len = rng.index(7);
+    for (std::size_t h = 0; h < len; ++h)
+      value.hops.push_back(Asn(1 + rng.index(10)));
+    if (rng.chance(0.2)) value.poison_set.push_back(Asn(1 + rng.index(5)));
+    (void)src.intern(value);
+  }
+  const FlatImage image = flat_image(src);
+
+  PathTable by_value;
+  PathTable by_image;
+  for (PathTable* dst : {&by_value, &by_image}) {
+    (void)dst->intern(AsPath{{3, 2, 1}, {}});
+    (void)dst->intern(AsPath{{7}, {4}});
+    (void)dst->intern(AsPath{{6, 5}, {2}});
+  }
+  const std::vector<PathId> remap =
+      by_image.intern_flat(image.nodes, image.pool);
+  ASSERT_EQ(remap.size(), src.num_paths());
+  for (PathId id = 0; id < src.num_paths(); ++id) {
+    const AsPath value = src.materialize(id);
+    ASSERT_EQ(remap[id], by_value.intern(value)) << value.to_string();
+    ASSERT_EQ(by_image.materialize(remap[id]), value);
+  }
+  EXPECT_TRUE(same_image(flat_image(by_image), flat_image(by_value)));
+}
+
+TEST(PathTable, InternFlatRejectsMalformedImages) {
+  // Every case also checks the rollback: the table is the one it was.
+  PathTable table = mixed_table(nullptr);
   // No nodes at all.
-  EXPECT_THROW(
-      PathTable::from_flat(std::span<const PathTable::FlatNode>{}, {{}}),
-      CheckError);
+  expect_rejected(table, FlatImage{{}, {{}}}, "has no nodes");
   // Node 0 not the empty root.
-  {
-    std::vector<PathTable::FlatNode> nodes = {flat(5, 0, 1, 0)};
-    EXPECT_THROW(PathTable::from_flat(nodes, {{}}), CheckError);
-  }
-  // Hop node whose tail points forward.
-  {
-    std::vector<PathTable::FlatNode> nodes = {flat(0, 0, 0, 0),
-                                              flat(5, 2, 1, 0)};
-    EXPECT_THROW(PathTable::from_flat(nodes, {{}}), CheckError);
-  }
-  // Inconsistent hop count.
-  {
-    std::vector<PathTable::FlatNode> nodes = {flat(0, 0, 0, 0),
-                                              flat(5, 0, 3, 0)};
-    EXPECT_THROW(PathTable::from_flat(nodes, {{}}), CheckError);
-  }
-  // Poison id out of range.
-  {
-    std::vector<PathTable::FlatNode> nodes = {flat(0, 0, 0, 0),
-                                              flat(5, 0, 1, 4)};
-    EXPECT_THROW(PathTable::from_flat(nodes, {{}}), CheckError);
-  }
-  // Duplicate node (same head, same tail) — intern map collision.
-  {
-    std::vector<PathTable::FlatNode> nodes = {
-        flat(0, 0, 0, 0), flat(5, 0, 1, 0), flat(5, 0, 1, 0)};
-    EXPECT_THROW(PathTable::from_flat(nodes, {{}}), CheckError);
-  }
+  expect_rejected(table, FlatImage{{flat(5, 0, 1, 0)}, {{}}},
+                  "node 0 is not the empty root");
   // Missing empty poison set at pool slot 0.
-  {
-    std::vector<PathTable::FlatNode> nodes = {flat(0, 0, 0, 0)};
-    EXPECT_THROW(PathTable::from_flat(nodes, {{1, 2}}), CheckError);
-  }
+  expect_rejected(table, FlatImage{{flat(0, 0, 0, 0)}, {{1, 2}}},
+                  "must start with the empty set");
+  // Hop node whose tail points forward.
+  expect_rejected(table,
+                  FlatImage{{flat(0, 0, 0, 0), flat(5, 0, 1, 0),
+                             flat(6, 3, 1, 0), flat(7, 1, 2, 0)},
+                            {{}}},
+                  "tail does not precede node");
+  // Inconsistent hop count, after a node the table did not hold yet.
+  expect_rejected(table,
+                  FlatImage{{flat(0, 0, 0, 0), flat(123, 0, 1, 0),
+                             flat(5, 0, 3, 0)},
+                            {{}}},
+                  "hop count is inconsistent");
+  // Poison id out of range.
+  expect_rejected(table,
+                  FlatImage{{flat(0, 0, 0, 0), flat(5, 0, 1, 4)}, {{}}},
+                  "references a missing poison set");
+  // A hop without a head; a malformed root; a second empty root.
+  expect_rejected(table, FlatImage{{flat(0, 0, 0, 0), flat(0, 0, 1, 0)}, {{}}},
+                  "hop node has no head");
+  expect_rejected(table,
+                  FlatImage{{flat(0, 0, 0, 0), flat(0, 0, 0, 1)}, {{}, {8}}},
+                  "root node is malformed");
+  expect_rejected(table, FlatImage{{flat(0, 0, 0, 0), flat(0, 1, 0, 0)}, {{}}},
+                  "duplicates the empty root");
+  // A node whose poison id differs from its tail's.
+  expect_rejected(table,
+                  FlatImage{{flat(0, 0, 0, 0), flat(0, 1, 0, 1),
+                             flat(5, 1, 1, 0)},
+                            {{}, {8}}},
+                  "not inherited from tail");
+}
+
+TEST(PathTable, InternFlatRejectsADuplicateNodeTheTableAlreadyHolds) {
+  // The image holds [5] twice. The table already holds [5] from an earlier
+  // image, so interning maps both copies onto that one node; the loader
+  // must still see the duplicate and fail with the same message it gives
+  // an empty table.
+  const FlatImage twice{
+      {flat(0, 0, 0, 0), flat(5, 0, 1, 0), flat(6, 1, 2, 0), flat(5, 0, 1, 0)},
+      {{}}};
+  PathTable empty;
+  expect_rejected(empty, twice, "duplicate interned nodes");
+  PathTable holding;
+  (void)holding.intern(AsPath{{5}, {}});
+  (void)holding.intern(AsPath{{6, 5}, {}});
+  expect_rejected(holding, twice, "duplicate interned nodes");
+
+  // Same for a poisoned root the image carries twice (here under two pool
+  // slots holding one set, which is also a repeated set).
+  const FlatImage two_roots{
+      {flat(0, 0, 0, 0), flat(0, 1, 0, 1), flat(0, 2, 0, 2)}, {{}, {9}, {9}}};
+  expect_rejected(empty, two_roots, "duplicate poison roots");
+  (void)holding.root(std::vector<Asn>{9});
+  expect_rejected(holding, two_roots, "duplicate poison roots");
+}
+
+TEST(PathTable, InternFlatRejectsNonCanonicalPoisonPools) {
+  // A table's pool lists the empty set, then each poisoned root's set in
+  // root order, once. The writer never produces anything else, and a pool
+  // that differs would not re-encode to the image it came from.
+  PathTable table = mixed_table(nullptr);
+  // Roots in the opposite order of their sets.
+  expect_rejected(table,
+                  FlatImage{{flat(0, 0, 0, 0), flat(0, 1, 0, 2),
+                             flat(0, 2, 0, 1)},
+                            {{}, {7}, {8}}},
+                  "poison set is out of root order");
+  // A set no root uses.
+  expect_rejected(table,
+                  FlatImage{{flat(0, 0, 0, 0), flat(0, 1, 0, 1)},
+                            {{}, {7}, {8}}},
+                  "poison pool has an unused set");
+  expect_rejected(table, FlatImage{{flat(0, 0, 0, 0)}, {{}, {8}}},
+                  "poison pool has an unused set");
+  // The same set twice, once for a root and once unused.
+  expect_rejected(table,
+                  FlatImage{{flat(0, 0, 0, 0), flat(0, 1, 0, 1)},
+                            {{}, {7}, {7}}},
+                  "poison pool repeats a set");
+  expect_rejected(table, FlatImage{{flat(0, 0, 0, 0)}, {{}, {}}},
+                  "poison pool repeats a set");
+}
+
+TEST(PathTable, TruncateDropsEverythingAfterTheMark) {
+  PathTable table = mixed_table(nullptr);
+  const PathTable before = table;
+  const PathTable::Mark mark = table.mark();
+  (void)table.intern(AsPath{{1, 2, 3}, {}});
+  (void)table.intern(AsPath{{4}, {55, 56}});
+  (void)table.intern(AsPath{{40, 20, 30}, {}});  // A hit.
+  table.truncate(mark);
+  EXPECT_TRUE(same_image(flat_image(table), flat_image(before)));
+  EXPECT_EQ(table.stats().hits, before.stats().hits);
+  // The dropped paths intern afresh at the same ids as on the copy.
+  PathTable copy = before;
+  EXPECT_EQ(table.intern(AsPath{{4}, {55, 56}}),
+            copy.intern(AsPath{{4}, {55, 56}}));
+  EXPECT_EQ(table.intern(AsPath{{1, 2, 3}, {}}),
+            copy.intern(AsPath{{1, 2, 3}, {}}));
+  EXPECT_TRUE(same_image(flat_image(table), flat_image(copy)));
 }
 
 }  // namespace

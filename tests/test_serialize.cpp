@@ -156,6 +156,45 @@ TEST(FileIo, RoundTripsAndThrowsOnMissing) {
   EXPECT_THROW(write_file("/nonexistent-dir/x", "y"), CheckError);
 }
 
+/// The CheckError message of `fn()`, or "" when it does not throw one.
+template <typename Fn>
+std::string check_error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FileIo, ReadFileNeedsARegularFileAndReadsItExactly) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "irp_file_test_dir";
+  std::filesystem::create_directories(dir);
+  // A directory opens on Linux but is no file: a typed error, not an empty
+  // read or an allocation failure.
+  EXPECT_NE(check_error_of([&] { (void)read_file(dir.string()); })
+                .find("not a regular file"),
+            std::string::npos);
+  EXPECT_NE(check_error_of([&] { (void)read_file((dir / "missing").string()); })
+                .find("cannot open file for reading"),
+            std::string::npos);
+
+  // Every byte value, NULs included, comes back exactly.
+  std::string binary;
+  for (int round = 0; round < 300; ++round)
+    for (int c = 0; c < 256; ++c) binary.push_back(static_cast<char>(c));
+  binary += std::string(5, '\0');
+  const std::string path = (dir / "binary.bin").string();
+  write_file(path, binary);
+  EXPECT_TRUE(read_file(path) == binary);
+
+  const std::string empty = (dir / "empty.bin").string();
+  write_file(empty, "");
+  EXPECT_EQ(read_file(empty), "");
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ReportCsv, ContainsHeadersAndRows) {
   StudyConfig config;
   config.generator = test::small_generator_config();

@@ -2,7 +2,10 @@
 # CLI bad-query regression test: one query the oracle cannot answer (a
 # classify whose DEST lies outside the study) must fail only its own line.
 # `query --snapshot` and `serve --queries` each print one line per query,
-# `error: ...` in the bad query's slot, and exit 1.
+# `error: ...` in the bad query's slot, and exit 1. A snapshot that cannot
+# be loaded (a truncated file, a directory, a missing path) must fail the
+# run the same way: exit 1 and an `error:` line naming the reason, never an
+# abort.
 #
 # Registered as the `cli_query_errors_check` ctest; takes the run_study_cli
 # binary as $1. Builds one default-scale snapshot (a few seconds).
@@ -55,5 +58,23 @@ check "query" "$bin" query --snapshot "$work/study.bin" \
 check "serve --queries" "$bin" serve --snapshot "$work/study.bin" \
   --queries "$work/queries.txt"
 
-[ "$status" -eq 0 ] && echo "cli-query-errors-check: ok (2 modes)"
+# $1: description, $2: the --snapshot path, $3: the reason the error line
+# must name.
+bad_snapshot() {
+  "$bin" query --snapshot "$2" --queries "$work/queries.txt" \
+    >"$work/out.txt" 2>"$work/err.txt"
+  rc=$?
+  [ "$rc" -eq 1 ] || fail "$1 snapshot: exit $rc, expected 1"
+  grep -q "^error: .*$3" "$work/err.txt" ||
+    fail "$1 snapshot: no 'error: ... $3' line"
+}
+
+head -c 4096 "$work/study.bin" >"$work/truncated.bin"
+mkdir "$work/directory.bin"
+bad_snapshot "truncated" "$work/truncated.bin" "truncated image"
+bad_snapshot "directory" "$work/directory.bin" "not a regular file"
+bad_snapshot "missing" "$work/missing.bin" "cannot open file for reading"
+
+[ "$status" -eq 0 ] &&
+  echo "cli-query-errors-check: ok (2 modes, 3 unloadable snapshots)"
 exit "$status"
