@@ -255,10 +255,21 @@ bool print_answer(Answer&& answer) {
   }
 }
 
-StudyConfig parse_study_flags(int argc, char** argv, int first,
-                              std::string* out_path) {
+/// The study flags of the full run and of `snapshot`, parsed from
+/// argv[first..].
+struct StudyFlags {
   StudyConfig config;
   int scale = 1;
+  std::string out;  ///< --out: the report directory, or the snapshot file.
+};
+
+/// Parses --seed, --scale, --threads and --out, and hands any other flag to
+/// `extra(arg, next)`, which returns false for a flag it does not know (a
+/// usage error); `next()` consumes the flag's value.
+template <typename Extra>
+StudyFlags parse_study_flags(int argc, char** argv, int first, Extra&& extra) {
+  StudyFlags flags;
+  StudyConfig& config = flags.config;
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -268,35 +279,36 @@ StudyConfig parse_study_flags(int argc, char** argv, int first,
     if (arg == "--seed")
       config.generator.seed = u64_flag(argv[0], "--seed", next(), 0, UINT64_MAX);
     else if (arg == "--scale")
-      scale = static_cast<int>(u64_flag(argv[0], "--scale", next(), 1, 1024));
+      flags.scale =
+          static_cast<int>(u64_flag(argv[0], "--scale", next(), 1, 1024));
     else if (arg == "--threads")
       config.passive.parallel.threads =
           static_cast<int>(u64_flag(argv[0], "--threads", next(), 0, 4096));
     else if (arg == "--out")
-      *out_path = next();
-    else
+      flags.out = next();
+    else if (!extra(arg, next))
       usage(argv[0]);
   }
-  config.generator.stubs_per_country *= scale;
-  config.generator.small_isps_per_country *= scale;
-  config.run_active = false;  // The oracle serves the passive study.
-  return config;
+  config.generator.stubs_per_country *= flags.scale;
+  config.generator.small_isps_per_country *= flags.scale;
+  return flags;
 }
 
 int cmd_snapshot(int argc, char** argv) {
-  std::string out_path;
-  const StudyConfig config = parse_study_flags(argc, argv, 2, &out_path);
-  if (out_path.empty()) usage(argv[0]);
+  StudyFlags flags = parse_study_flags(
+      argc, argv, 2, [](const std::string&, auto&) { return false; });
+  if (flags.out.empty()) usage(argv[0]);
+  flags.config.run_active = false;  // The oracle serves the passive study.
 
   std::printf("Running passive study (seed=%llu)...\n",
-              static_cast<unsigned long long>(config.generator.seed));
-  const StudyResults r = run_full_study(config);
+              static_cast<unsigned long long>(flags.config.generator.seed));
+  const StudyResults r = run_full_study(flags.config);
   const OracleSnapshot snap = snapshot_study(r.passive);
-  snap.save(out_path);
+  snap.save(flags.out);
   std::printf(
       "wrote oracle snapshot to %s (%zu relationships, %zu prefixes, "
       "%zu route entries, %zu interned paths)\n",
-      out_path.c_str(), snap.relationships.size(), snap.routes.size(),
+      flags.out.c_str(), snap.relationships.size(), snap.routes.size(),
       snap.num_route_entries(), static_cast<std::size_t>(snap.paths.num_paths()));
   return 0;
 }
@@ -356,6 +368,25 @@ int cmd_query(int argc, char** argv) {
   return all_answered ? 0 : 1;
 }
 
+/// Prints `#   LABEL: served=S rejected=R p50=Xus p99=Yus` without ending
+/// the line, so a caller can append keys of its own.
+void print_requests(const std::string& label, const RequestStats& s) {
+  std::printf("#   %s: served=%llu rejected=%llu p50=%.1fus p99=%.1fus",
+              label.c_str(), static_cast<unsigned long long>(s.served),
+              static_cast<unsigned long long>(s.rejected), s.p50_us, s.p99_us);
+}
+
+/// One line per query type that saw traffic, labelled `prefix` + its name.
+void print_per_type(const std::string& prefix,
+                    const std::array<RequestStats, kNumQueryTypes>& per_type) {
+  for (int t = 0; t < kNumQueryTypes; ++t) {
+    if (per_type[t].served == 0 && per_type[t].rejected == 0) continue;
+    print_requests(prefix + std::string(query_type_name(QueryType(t))),
+                   per_type[t]);
+    std::printf("\n");
+  }
+}
+
 void print_service_stats(const OracleStatsView& stats) {
   std::printf("# served=%llu rejected=%llu unknown_study=%llu peak_queue=%zu "
               "cache_hit_rate=%.3f\n",
@@ -363,23 +394,12 @@ void print_service_stats(const OracleStatsView& stats) {
               static_cast<unsigned long long>(stats.rejected),
               static_cast<unsigned long long>(stats.unknown_study),
               stats.peak_queue_depth, stats.cache.hit_rate());
-  for (int t = 0; t < kNumQueryTypes; ++t) {
-    const auto& pt = stats.per_type[t];
-    if (pt.served == 0 && pt.rejected == 0) continue;
-    std::printf("#   %s: served=%llu rejected=%llu p50=%.1fus p99=%.1fus\n",
-                std::string(query_type_name(static_cast<QueryType>(t))).c_str(),
-                static_cast<unsigned long long>(pt.served),
-                static_cast<unsigned long long>(pt.rejected), pt.p50_us,
-                pt.p99_us);
-  }
+  print_per_type("", stats.per_type);
   if (stats.per_study.size() <= 1) return;
   for (const auto& per : stats.per_study) {
-    std::printf("#   study %s: served=%llu rejected=%llu p50=%.1fus "
-                "p99=%.1fus cache_quota=%zu cache_hit_rate=%.3f\n",
-                per.name.c_str(),
-                static_cast<unsigned long long>(per.served),
-                static_cast<unsigned long long>(per.rejected), per.p50_us,
-                per.p99_us, per.cache.capacity, per.cache.hit_rate());
+    print_requests("study " + per.name, per.requests);
+    std::printf(" cache_quota=%zu cache_hit_rate=%.3f\n", per.cache.capacity,
+                per.cache.hit_rate());
   }
 }
 
@@ -427,14 +447,7 @@ int serve_network(const StudyCatalog& catalog,
       static_cast<unsigned long long>(wire.decode_errors),
       static_cast<unsigned long long>(wire.bytes_in),
       static_cast<unsigned long long>(wire.bytes_out));
-  for (int t = 0; t < kNumQueryTypes; ++t) {
-    const auto& pt = wire.per_type[t];
-    if (pt.answered == 0) continue;
-    std::printf("#   wire %s: answered=%llu p50=%.1fus p99=%.1fus\n",
-                std::string(query_type_name(static_cast<QueryType>(t))).c_str(),
-                static_cast<unsigned long long>(pt.answered), pt.p50_us,
-                pt.p99_us);
-  }
+  print_per_type("wire ", wire.per_type);
   print_service_stats(service.stats());
   return 0;
 }
@@ -509,42 +522,26 @@ int cmd_serve(int argc, char** argv) {
 }
 
 int cmd_legacy(int argc, char** argv) {
-  StudyConfig config;
-  std::string out_dir;
   std::string topology_file;
   std::string caida_file;
-  int scale = 1;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--seed")
-      config.generator.seed =
-          u64_flag(argv[0], "--seed", next(), 0, UINT64_MAX);
-    else if (arg == "--scale")
-      scale = static_cast<int>(u64_flag(argv[0], "--scale", next(), 1, 1024));
-    else if (arg == "--threads")
-      config.passive.parallel.threads =
-          static_cast<int>(u64_flag(argv[0], "--threads", next(), 0, 4096));
-    else if (arg == "--out")
-      out_dir = next();
-    else if (arg == "--no-active")
-      config.run_active = false;
-    else if (arg == "--save-topology")
-      topology_file = next();
-    else if (arg == "--caida-out")
-      caida_file = next();
-    else
-      usage(argv[0]);
-  }
-  config.generator.stubs_per_country *= scale;
-  config.generator.small_isps_per_country *= scale;
+  bool run_active = true;
+  StudyFlags flags = parse_study_flags(
+      argc, argv, 1, [&](const std::string& arg, auto& next) {
+        if (arg == "--no-active")
+          run_active = false;
+        else if (arg == "--save-topology")
+          topology_file = next();
+        else if (arg == "--caida-out")
+          caida_file = next();
+        else
+          return false;
+        return true;
+      });
+  StudyConfig& config = flags.config;
+  config.run_active = run_active;
 
   std::printf("Running study (seed=%llu, scale=%d, active=%s)...\n",
-              static_cast<unsigned long long>(config.generator.seed), scale,
+              static_cast<unsigned long long>(config.generator.seed), flags.scale,
               config.run_active ? "yes" : "no");
   const StudyResults r = run_full_study(config);
 
@@ -556,9 +553,9 @@ int cmd_legacy(int argc, char** argv) {
   if (config.run_active)
     std::printf("%s\n", render_paper_claims(r).c_str());
 
-  if (!out_dir.empty()) {
-    const int files = write_all_reports(r, out_dir);
-    std::printf("wrote %d CSV report files to %s/\n", files, out_dir.c_str());
+  if (!flags.out.empty()) {
+    const int files = write_all_reports(r, flags.out);
+    std::printf("wrote %d CSV report files to %s/\n", files, flags.out.c_str());
   }
   if (!topology_file.empty()) {
     write_file(topology_file, serialize_topology(r.net->topology));

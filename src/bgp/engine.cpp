@@ -274,7 +274,7 @@ void BgpEngine::export_from(PrefixState& st, Asn asn) {
       if (out_base == kNotSent)
         out_base = table_.prepend(pa.selected->path_id, asn);
       else
-        table_.note_reuse(out_base);
+        table_.note_reuse();
       PathId out = out_base;
       if (pa.selected->self_originated) {
         // Inbound TE: per-link AS-path prepending at the origin.
@@ -422,11 +422,9 @@ std::vector<Ipv4Prefix> BgpEngine::prefixes() const {
 }
 
 EngineCounters BgpEngine::counters() const {
-  const PathTable::Stats& ps = table_.stats();
   EngineCounters c;
-  c.paths_interned = ps.nodes;
-  c.intern_hits = ps.hits;
-  c.path_bytes_saved = ps.bytes_saved;
+  c.paths_interned = table_.num_paths();
+  c.intern_hits = table_.hits();
   c.selections_run = selections_;
   c.rib_routes_scanned = rib_scanned_;
   c.states_reused = states_reused_;

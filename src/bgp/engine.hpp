@@ -55,7 +55,6 @@ struct AnnounceOptions {
 struct EngineCounters {
   std::uint64_t paths_interned = 0;    ///< Distinct paths in the path table.
   std::uint64_t intern_hits = 0;       ///< Prepends/interns served from it.
-  std::uint64_t path_bytes_saved = 0;  ///< Hop-vector bytes sharing avoided.
   std::uint64_t selections_run = 0;    ///< Decision-process invocations.
   std::uint64_t rib_routes_scanned = 0;  ///< RIB entries examined by them.
   std::uint64_t states_reused = 0;     ///< PrefixStates recycled from a pool.

@@ -14,15 +14,9 @@ std::uint64_t intern_key(Asn head, PathId tail) {
 }  // namespace
 
 PathTable::PathTable() {
-  // A convergence over a realistic topology interns tens of thousands of
-  // paths; pre-sizing the probe table avoids every rehash on that trajectory
-  // for the cost of a ~1 MB bucket array (dwarfed by the engine's RIB state).
-  intern_.reserve(1 << 17);
-  nodes_.reserve(1 << 12);
   nodes_.push_back(Node{});  // kEmptyPathId: empty hops, empty poison set.
   poison_sets_.emplace_back();
   roots_[{}] = kEmptyPathId;
-  stats_.nodes = 1;
 }
 
 PathId PathTable::root(std::span<const Asn> poison_set) {
@@ -30,7 +24,7 @@ PathId PathTable::root(std::span<const Asn> poison_set) {
   std::vector<Asn> key{poison_set.begin(), poison_set.end()};
   auto it = roots_.find(key);
   if (it != roots_.end()) {
-    ++stats_.hits;
+    ++hits_;
     return it->second;
   }
   const PathId id = static_cast<PathId>(nodes_.size());
@@ -40,18 +34,24 @@ PathId PathTable::root(std::span<const Asn> poison_set) {
   poison_sets_.push_back(key);
   nodes_.push_back(node);
   roots_.emplace(std::move(key), id);
-  ++stats_.nodes;
-  ++stats_.poison_sets;
   return id;
 }
 
 PathId PathTable::prepend(PathId id, Asn head) {
   IRP_CHECK(head != 0, "cannot prepend ASN 0");
+  if (intern_.empty()) [[unlikely]] {
+    // A convergence over a realistic topology interns tens of thousands of
+    // paths; pre-sizing the probe table avoids every rehash on that
+    // trajectory for the cost of a ~1 MB bucket array (dwarfed by the
+    // engine's RIB state). Deferred to the first prepend so that a table
+    // that never holds a path (a catalog study's own, a default snapshot's)
+    // costs next to nothing.
+    intern_.reserve(1 << 17);
+    nodes_.reserve(1 << 12);
+  }
   auto [it, inserted] = intern_.try_emplace(intern_key(head, id), 0);
   if (!inserted) {
-    ++stats_.hits;
-    // The copy this hit avoided would have duplicated the whole hop vector.
-    stats_.bytes_saved += (num_hops(it->second)) * sizeof(Asn);
+    ++hits_;
     return it->second;
   }
   const PathId node_id = static_cast<PathId>(nodes_.size());
@@ -62,7 +62,6 @@ PathId PathTable::prepend(PathId id, Asn head) {
   node.poison = nodes_[id].poison;
   nodes_.push_back(node);
   it->second = node_id;
-  ++stats_.nodes;
   return node_id;
 }
 
@@ -202,7 +201,7 @@ void PathTable::truncate(const Mark& mark) {
   }
   nodes_.resize(mark.nodes);
   poison_sets_.resize(mark.poison_sets);
-  stats_ = mark.stats;
+  hits_ = mark.hits;
 }
 
 }  // namespace irp

@@ -41,14 +41,6 @@ class PathTable {
  public:
   PathTable();
 
-  /// Intern/lookup counters, cheap enough to keep always-on.
-  struct Stats {
-    std::uint64_t nodes = 0;        ///< Distinct paths interned (tree nodes).
-    std::uint64_t hits = 0;         ///< Intern requests served from the table.
-    std::uint64_t bytes_saved = 0;  ///< Hop-vector bytes not copied on hits.
-    std::uint64_t poison_sets = 0;  ///< Distinct non-empty poison sets.
-  };
-
   /// The empty path carrying `poison_set` (interned; empty set = kEmptyPathId).
   PathId root(std::span<const Asn> poison_set);
 
@@ -61,14 +53,11 @@ class PathTable {
   /// Interns a materialized AsPath (hops + poison set).
   PathId intern(const AsPath& path);
 
-  /// Credits a prepend the caller avoided by reusing `id` directly (e.g. the
-  /// engine fanning one exported path out over several links). Keeps the
-  /// sharing counters meaningful after hot-path hoisting: each reuse is a
-  /// hop-vector copy a value-based representation would have made.
-  void note_reuse(PathId id) {
-    ++stats_.hits;
-    stats_.bytes_saved += num_hops(id) * sizeof(Asn);
-  }
+  /// Credits a prepend the caller avoided by reusing a path it already
+  /// holds (e.g. the engine fanning one exported path out over several
+  /// links). Keeps hits() meaningful after hot-path hoisting: each reuse is
+  /// a hop-vector copy a value-based representation would have made.
+  void note_reuse() { ++hits_; }
 
   /// Number of hops (excluding the poison set).
   std::size_t num_hops(PathId id) const { return nodes_[id].num_hops; }
@@ -123,7 +112,8 @@ class PathTable {
   PathId import(const PathTable& src, PathId id, std::vector<PathId>& memo);
 
   std::size_t num_paths() const { return nodes_.size(); }
-  const Stats& stats() const { return stats_; }
+  /// Intern requests (and credited reuses) served by an existing path.
+  std::uint64_t hits() const { return hits_; }
 
   // -- Snapshot hooks (RouteOracle binary images, see src/serve/).
   //
@@ -167,14 +157,14 @@ class PathTable {
       std::span<const std::vector<Asn>> poison_pool);
 
   /// A restore point: truncate(mark()) drops every node, intern key, root
-  /// and poison set added after the mark and restores the counters, so a
-  /// failed multi-step load leaves the table unchanged.
+  /// and poison set added after the mark and restores hits(), so a failed
+  /// multi-step load leaves the table unchanged.
   struct Mark {
     std::size_t nodes = 0;
     std::size_t poison_sets = 0;
-    Stats stats;
+    std::uint64_t hits = 0;
   };
-  Mark mark() const { return Mark{nodes_.size(), poison_sets_.size(), stats_}; }
+  Mark mark() const { return Mark{nodes_.size(), poison_sets_.size(), hits_}; }
   void truncate(const Mark& mark);
 
  private:
@@ -191,7 +181,7 @@ class PathTable {
   /// construction (two 32-bit halves), so lookups never compare paths.
   std::unordered_map<std::uint64_t, PathId> intern_;
   std::map<std::vector<Asn>, PathId> roots_;  ///< poison set -> root node.
-  Stats stats_;
+  std::uint64_t hits_ = 0;
   /// import() scratch: source ids awaiting a prepend, most recent hop first.
   std::vector<PathId> import_chain_;
 };

@@ -56,15 +56,6 @@ std::set<std::pair<Asn, Asn>> PathCorpus::adjacencies(int epoch) const {
   return out;
 }
 
-std::set<std::pair<Asn, Asn>> PathCorpus::all_adjacencies() const {
-  std::set<std::pair<Asn, Asn>> out;
-  for (const auto& [epoch, _] : by_epoch_) {
-    auto adj = adjacencies(epoch);
-    out.insert(adj.begin(), adj.end());
-  }
-  return out;
-}
-
 std::size_t PathCorpus::total_paths() const {
   std::size_t n = 0;
   for (const auto& [_, paths] : by_epoch_) n += paths.size();

@@ -41,9 +41,6 @@ class PathCorpus {
   /// Distinct adjacencies (unordered pairs) seen at an epoch.
   std::set<std::pair<Asn, Asn>> adjacencies(int epoch) const;
 
-  /// Distinct adjacencies across all epochs.
-  std::set<std::pair<Asn, Asn>> all_adjacencies() const;
-
   std::size_t total_paths() const;
 
  private:

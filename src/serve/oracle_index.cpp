@@ -18,6 +18,12 @@ std::uint64_t mix64(std::uint64_t x) {
 
 }  // namespace
 
+std::uint8_t pack_scenario(const ScenarioOptions& opts) {
+  return static_cast<std::uint8_t>((opts.use_hybrid ? 1 : 0) |
+                                   (opts.use_siblings ? 2 : 0) |
+                                   (static_cast<int>(opts.psp) << 2));
+}
+
 ClassifyKey make_classify_key(const RouteDecision& d,
                               const ScenarioOptions& opts) {
   ClassifyKey key;
@@ -28,9 +34,7 @@ ClassifyKey make_classify_key(const RouteDecision& d,
   key.remaining_len = static_cast<std::uint32_t>(d.remaining_len);
   key.has_city = d.interconnect_city.has_value();
   key.city = key.has_city ? *d.interconnect_city : 0;
-  key.scenario = static_cast<std::uint8_t>((opts.use_hybrid ? 1 : 0) |
-                                           (opts.use_siblings ? 2 : 0) |
-                                           (static_cast<int>(opts.psp) << 2));
+  key.scenario = pack_scenario(opts);
   return key;
 }
 
@@ -105,7 +109,6 @@ ClassifyCache::Stats ClassifyCache::stats() const {
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.capacity = capacity_.load(std::memory_order_relaxed);
-  s.shards = kShards;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     s.entries += shard.map.size();

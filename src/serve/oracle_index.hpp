@@ -42,10 +42,15 @@ struct ClassifyKey {
   std::uint32_t remaining_len = 0;
   CityId city = 0;
   bool has_city = false;
-  std::uint8_t scenario = 0;  ///< bit0 hybrid, bit1 siblings, bits 2-3 PSP.
+  std::uint8_t scenario = 0;  ///< pack_scenario() of the options.
 
   friend bool operator==(const ClassifyKey&, const ClassifyKey&) = default;
 };
+
+/// The one byte encoding of a scenario: bit0 hybrid, bit1 siblings, bits
+/// 2-3 the PSP mode. Both the classify cache key and the wire's classify
+/// request (docs/PROTOCOL.md) carry it.
+std::uint8_t pack_scenario(const ScenarioOptions& opts);
 
 ClassifyKey make_classify_key(const RouteDecision& d,
                               const ScenarioOptions& opts);
@@ -63,7 +68,6 @@ class ClassifyCache {
     std::uint64_t evictions = 0;
     std::size_t entries = 0;
     std::size_t capacity = 0;
-    std::size_t shards = 0;
     double hit_rate() const {
       const double total = double(hits) + double(misses);
       return total == 0 ? 0.0 : double(hits) / total;

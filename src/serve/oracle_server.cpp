@@ -158,22 +158,17 @@ struct OracleServer::Impl {
   std::uint64_t next_conn_id = 0;
   std::mutex shutdown_mu;
 
-  struct PerType {
-    std::atomic<std::uint64_t> answered{0};
-    LatencyHistogram latency;
-  };
   std::atomic<std::uint64_t> connections_accepted{0};
   std::atomic<std::uint64_t> connections_refused{0};
   std::atomic<std::uint64_t> connections_closed{0};
   std::atomic<std::uint64_t> frames_in{0};
   std::atomic<std::uint64_t> frames_out{0};
   std::atomic<std::uint64_t> requests_admitted{0};
-  std::atomic<std::uint64_t> requests_shed{0};
   std::atomic<std::uint64_t> requests_unknown_study{0};
   std::atomic<std::uint64_t> decode_errors{0};
   std::atomic<std::uint64_t> bytes_in{0};
   std::atomic<std::uint64_t> bytes_out{0};
-  std::array<PerType, kNumQueryTypes> per_type;
+  std::array<RequestCounters, kNumQueryTypes> per_type;
 
   // Counters move before the socket does: a peer that sees the close must
   // find it counted in stats().
@@ -259,15 +254,13 @@ WireServerStats OracleServer::stats() const {
   s.frames_in = im.frames_in.load();
   s.frames_out = im.frames_out.load();
   s.requests_admitted = im.requests_admitted.load();
-  s.requests_shed = im.requests_shed.load();
   s.requests_unknown_study = im.requests_unknown_study.load();
   s.decode_errors = im.decode_errors.load();
   s.bytes_in = im.bytes_in.load();
   s.bytes_out = im.bytes_out.load();
   for (int t = 0; t < kNumQueryTypes; ++t) {
-    s.per_type[t].answered = im.per_type[t].answered.load();
-    s.per_type[t].p50_us = im.per_type[t].latency.quantile_us(0.50);
-    s.per_type[t].p99_us = im.per_type[t].latency.quantile_us(0.99);
+    s.per_type[t] = im.per_type[t].read();
+    s.requests_shed += s.per_type[t].rejected;
   }
   return s;
 }
@@ -336,7 +329,8 @@ void OracleServer::poll_loop() {
                                             "unknown study '" + frame->study +
                                                 "'"));
         } else if (reject != OracleService::Reject::kNone) {
-          im.requests_shed.fetch_add(1, std::memory_order_relaxed);
+          im.per_type[static_cast<int>(done.type)].rejected.fetch_add(
+              1, std::memory_order_relaxed);
           im.queue_frame(conn, encode_error(frame->request_id,
                                             WireErrorCode::kOverloaded,
                                             "service queue full"));
@@ -370,10 +364,9 @@ void OracleServer::poll_loop() {
       Impl::Connection& conn = it->second;
       --conn.inflight;
       im.queue_frame(conn, done.frame);
-      if (!done.answered) continue;
-      Impl::PerType& pt = im.per_type[static_cast<int>(done.type)];
-      pt.latency.record(elapsed_ns(done.decoded));
-      pt.answered.fetch_add(1, std::memory_order_relaxed);
+      if (done.answered)
+        im.per_type[static_cast<int>(done.type)].record_served(
+            elapsed_ns(done.decoded));
     }
   };
 

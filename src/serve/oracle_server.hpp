@@ -37,11 +37,12 @@
 //
 // Observability: WireServerStats counts connections (accepted / refused /
 // closed), frames and bytes in both directions, admitted vs shed requests
-// and decode errors, and per-query-type wire latency histograms measured
-// from frame decode (before admission) to response enqueue — i.e.
-// including admission, the service queue wait and the completion wakeup,
-// which is exactly the number a remote caller experiences on top of raw
-// evaluation (OracleStatsView has the service-side view).
+// and decode errors, and per query type the served and shed requests and a
+// wire latency histogram measured from frame decode (before admission) to
+// response enqueue — i.e. including admission, the service queue wait and
+// the completion wakeup, which is exactly the number a remote caller
+// experiences on top of raw evaluation (OracleStatsView has the
+// service-side view).
 #pragma once
 
 #include <array>
@@ -58,11 +59,6 @@ namespace irp {
 
 /// Copyable server counters snapshot; see OracleServer::stats().
 struct WireServerStats {
-  struct PerType {
-    std::uint64_t answered = 0;  ///< Response frames sent for this type.
-    double p50_us = 0;           ///< Wire latency: decode -> response queued.
-    double p99_us = 0;
-  };
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_refused = 0;  ///< Over max_connections, or drain.
   std::uint64_t connections_closed = 0;
@@ -74,7 +70,10 @@ struct WireServerStats {
   std::uint64_t decode_errors = 0;      ///< Connections poisoned by bad bytes.
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
-  std::array<PerType, kNumQueryTypes> per_type{};
+  /// Per query type: response frames sent (served), kOverloaded frames
+  /// (rejected; they sum to requests_shed) and the decode -> response
+  /// queued latency.
+  std::array<RequestStats, kNumQueryTypes> per_type{};
 };
 
 /// TCP front for one OracleService. The service (and its index/snapshot)

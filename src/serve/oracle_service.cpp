@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <sstream>
 
@@ -157,6 +158,15 @@ double LatencyHistogram::quantile_us(double q) const {
   return 0;
 }
 
+RequestStats RequestCounters::read() const {
+  RequestStats s;
+  s.served = served.load(std::memory_order_relaxed);
+  s.rejected = rejected.load(std::memory_order_relaxed);
+  s.p50_us = latency.quantile_us(0.50);
+  s.p99_us = latency.quantile_us(0.99);
+  return s;
+}
+
 OracleService::OracleService(const StudyCatalog* catalog, Config config)
     : catalog_(catalog), config_(config) {
   IRP_CHECK(catalog_ != nullptr, "oracle service requires a catalog");
@@ -164,7 +174,7 @@ OracleService::OracleService(const StudyCatalog* catalog, Config config)
   IRP_CHECK(config_.worker_threads >= 0, "worker_threads must be >= 0");
   IRP_CHECK(config_.queue_capacity > 0, "queue_capacity must be positive");
   for (std::size_t i = 0; i < catalog_->size(); ++i)
-    study_counters_.push_back(std::make_unique<TypeCounters>());
+    study_counters_.push_back(std::make_unique<RequestCounters>());
   workers_.reserve(static_cast<std::size_t>(config_.worker_threads));
   for (int i = 0; i < config_.worker_threads; ++i)
     workers_.emplace_back([this] { worker_main(); });
@@ -192,21 +202,19 @@ OracleResponse OracleService::answer(const OracleRequest& request,
 }
 
 void OracleService::serve_one(Pending& pending) {
-  const QueryType type = query_type(pending.request);
-  TypeCounters& counters = counters_[static_cast<int>(type)];
-  TypeCounters& study_counters = *study_counters_[pending.study_ordinal];
+  // Pure evaluation latency: the clock starts at dequeue, so queue wait
+  // shows only on the wire server's span.
+  const auto start = std::chrono::steady_clock::now();
   Outcome outcome;
   try {
     outcome = std::visit(Evaluator{pending.index}, pending.request);
-    const auto done = std::chrono::steady_clock::now();
     const auto nanos = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(done -
-                                                             pending.enqueued)
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
             .count());
-    counters.latency.record(nanos);
-    counters.served.fetch_add(1, std::memory_order_relaxed);
-    study_counters.latency.record(nanos);
-    study_counters.served.fetch_add(1, std::memory_order_relaxed);
+    counters_[static_cast<int>(query_type(pending.request))].record_served(
+        nanos);
+    study_counters_[pending.study_ordinal]->record_served(nanos);
   } catch (...) {
     outcome = std::current_exception();
   }
@@ -262,7 +270,6 @@ OracleService::Reject OracleService::submit(OracleRequest request,
     return Reject::kUnknownStudy;
   }
   pending.done = std::move(done);
-  pending.enqueued = std::chrono::steady_clock::now();
   const QueryType type = query_type(pending.request);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -314,11 +321,7 @@ void OracleService::shutdown() {
 OracleStatsView OracleService::stats() const {
   OracleStatsView view;
   for (int t = 0; t < kNumQueryTypes; ++t) {
-    const TypeCounters& c = counters_[t];
-    view.per_type[t].served = c.served.load(std::memory_order_relaxed);
-    view.per_type[t].rejected = c.rejected.load(std::memory_order_relaxed);
-    view.per_type[t].p50_us = c.latency.quantile_us(0.50);
-    view.per_type[t].p99_us = c.latency.quantile_us(0.99);
+    view.per_type[t] = counters_[t].read();
     view.served += view.per_type[t].served;
     view.rejected += view.per_type[t].rejected;
   }
@@ -330,15 +333,9 @@ OracleStatsView OracleService::stats() const {
 
   view.per_study.reserve(study_counters_.size());
   for (std::size_t i = 0; i < study_counters_.size(); ++i) {
-    OracleStatsView::PerStudy per;
-    per.name = catalog_->studies()[i]->name;
-    per.cache = catalog_->studies()[i]->index->cache_stats();
-    const TypeCounters& c = *study_counters_[i];
-    per.served = c.served.load(std::memory_order_relaxed);
-    per.rejected = c.rejected.load(std::memory_order_relaxed);
-    per.p50_us = c.latency.quantile_us(0.50);
-    per.p99_us = c.latency.quantile_us(0.99);
-    view.per_study.push_back(std::move(per));
+    const StudyCatalog::Study& study = *catalog_->studies()[i];
+    view.per_study.push_back(OracleStatsView::PerStudy{
+        study.name, study_counters_[i]->read(), study.index->cache_stats()});
   }
 
   // Aggregate across studies; the capacity reported is the shared budget,
@@ -348,7 +345,6 @@ OracleStatsView OracleService::stats() const {
     view.cache.misses += per.cache.misses;
     view.cache.evictions += per.cache.evictions;
     view.cache.entries += per.cache.entries;
-    view.cache.shards += per.cache.shards;
   }
   view.cache.capacity = catalog_->total_cache_capacity();
   return view;

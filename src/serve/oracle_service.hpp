@@ -41,7 +41,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -159,23 +158,42 @@ class LatencyHistogram {
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
 };
 
+/// What one owner counted for a stream of requests: how many it served,
+/// how many admission control shed, and latency quantiles (microseconds)
+/// over the served ones. Each owner times its own span: OracleService from
+/// dequeue to evaluated (pure evaluation, no queue wait); OracleServer from
+/// frame decode to reply queued (admission, queue wait, evaluation, encode
+/// and the completion wakeup: what a remote caller sees).
+struct RequestStats {
+  std::uint64_t served = 0;
+  std::uint64_t rejected = 0;
+  double p50_us = 0;
+  double p99_us = 0;
+};
+
+/// The always-on counters behind one RequestStats; safe to bump from any
+/// thread.
+struct RequestCounters {
+  std::atomic<std::uint64_t> served{0};
+  std::atomic<std::uint64_t> rejected{0};
+  LatencyHistogram latency;
+
+  /// Counts one served request that took `nanos`.
+  void record_served(std::uint64_t nanos) {
+    latency.record(nanos);
+    served.fetch_add(1, std::memory_order_relaxed);
+  }
+  RequestStats read() const;
+};
+
 /// Copyable stats snapshot; see OracleService::stats().
 struct OracleStatsView {
-  struct PerType {
-    std::uint64_t served = 0;
-    std::uint64_t rejected = 0;
-    double p50_us = 0;
-    double p99_us = 0;
-  };
   struct PerStudy {
     std::string name;
-    std::uint64_t served = 0;
-    std::uint64_t rejected = 0;
-    double p50_us = 0;
-    double p99_us = 0;
+    RequestStats requests;
     ClassifyCache::Stats cache;
   };
-  std::array<PerType, kNumQueryTypes> per_type{};
+  std::array<RequestStats, kNumQueryTypes> per_type{};
   /// One entry per hosted study, in load order; [0] is the default study.
   std::vector<PerStudy> per_study;
   std::uint64_t served = 0;
@@ -276,13 +294,6 @@ class OracleService {
     const OracleIndex* index = nullptr;
     std::uint32_t study_ordinal = 0;
     Completion done;
-    std::chrono::steady_clock::time_point enqueued;
-  };
-
-  struct TypeCounters {
-    std::atomic<std::uint64_t> served{0};
-    std::atomic<std::uint64_t> rejected{0};
-    LatencyHistogram latency;
   };
 
   /// Resolves a study id to its index; nullptr = unknown. `ordinal` gets
@@ -302,10 +313,10 @@ class OracleService {
   std::size_t peak_queue_depth_ = 0;
   std::vector<std::thread> workers_;
 
-  mutable std::array<TypeCounters, kNumQueryTypes> counters_;
+  std::array<RequestCounters, kNumQueryTypes> counters_;
   /// One slot per study; heap-allocated because the atomics are not
   /// movable.
-  std::vector<std::unique_ptr<TypeCounters>> study_counters_;
+  std::vector<std::unique_ptr<RequestCounters>> study_counters_;
   mutable std::atomic<std::uint64_t> unknown_study_{0};
   std::atomic<std::uint64_t> served_total_{0};
 };

@@ -35,12 +35,6 @@ bool valid_frame_type(std::uint8_t raw) {
 // -- Payload encoders. Field order is normative; docs/PROTOCOL.md mirrors
 // these byte for byte.
 
-std::uint8_t pack_scenario(const ScenarioOptions& opts) {
-  return static_cast<std::uint8_t>((opts.use_hybrid ? 1 : 0) |
-                                   (opts.use_siblings ? 2 : 0) |
-                                   (static_cast<int>(opts.psp) << 2));
-}
-
 ScenarioOptions unpack_scenario(std::uint8_t bits) {
   IRP_CHECK((bits & ~0x0fu) == 0, "wire: reserved scenario bits set");
   const int psp = bits >> 2;

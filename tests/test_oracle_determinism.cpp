@@ -12,8 +12,10 @@
 // the burst case with live workers and during shutdown.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "oracle_fixture.hpp"
@@ -184,6 +186,26 @@ TEST(OracleStats, HistogramAndCountersTrackServing) {
   const ClassifyCache::Stats cache = stats.cache;
   EXPECT_GT(cache.hits + cache.misses, 0u);
   EXPECT_LE(cache.entries, cache.capacity);
+}
+
+TEST(OracleStats, ServiceLatencyExcludesQueueWait) {
+  // The service times pure evaluation (docs/OPERATIONS.md §5): a request
+  // that waits in the queue must not carry the wait into its quantiles.
+  const OracleFixture& f = fixture();
+  OracleService service(f.catalog.get(), OracleService::Config{0, 16});
+  constexpr auto kWait = std::chrono::milliseconds(50);
+  OracleService::Submitted s =
+      service.submit(RelationshipLookupRequest{1, 2}, "");
+  ASSERT_TRUE(s.accepted);
+  std::this_thread::sleep_for(kWait);
+  ASSERT_EQ(service.drain(), 1u);
+  (void)s.response.get();
+  const RequestStats rel = service.stats().per_type[static_cast<int>(
+      QueryType::kRelationshipLookup)];
+  EXPECT_EQ(rel.served, 1u);
+  const double wait_us =
+      std::chrono::duration<double, std::micro>(kWait).count();
+  EXPECT_LT(rel.p50_us, wait_us);
 }
 
 TEST(OracleStats, HistogramQuantileUsesNearestRank) {

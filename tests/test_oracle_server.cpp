@@ -131,15 +131,16 @@ TEST(OracleServerE2E, RemoteAnswersAreByteIdenticalToLocalSerial) {
   EXPECT_EQ(stats.decode_errors, 0u);
   EXPECT_GT(stats.bytes_in, 0u);
   EXPECT_GT(stats.bytes_out, 0u);
-  std::uint64_t answered = 0;
+  std::uint64_t served = 0;
   for (int t = 0; t < kNumQueryTypes; ++t) {
-    answered += stats.per_type[t].answered;
-    if (stats.per_type[t].answered > 0) {
+    served += stats.per_type[t].served;
+    EXPECT_EQ(stats.per_type[t].rejected, 0u);
+    if (stats.per_type[t].served > 0) {
       EXPECT_GT(stats.per_type[t].p50_us, 0.0);
       EXPECT_GE(stats.per_type[t].p99_us, stats.per_type[t].p50_us);
     }
   }
-  EXPECT_EQ(answered, f.queries.size());
+  EXPECT_EQ(served, f.queries.size());
 
   server.shutdown();
   service.shutdown();
@@ -156,12 +157,12 @@ TEST(OracleServerE2E, WireLatencyQuantilesBoundServiceQuantiles) {
   for (const OracleRequest& request : f.queries) (void)client.call(request);
 
   // Each request's wire interval (frame decode -> reply queued) contains
-  // its service interval (enqueue -> evaluated), and the histogram buckets
+  // its service interval (dequeue -> evaluated), and the histogram buckets
   // are monotone, so every wire quantile bounds the service one exactly.
   const WireServerStats wire = server.stats();
   const OracleStatsView local = service.stats();
   for (int t = 0; t < kNumQueryTypes; ++t) {
-    EXPECT_EQ(wire.per_type[t].answered, local.per_type[t].served);
+    EXPECT_EQ(wire.per_type[t].served, local.per_type[t].served);
     EXPECT_GE(wire.per_type[t].p50_us, local.per_type[t].p50_us)
         << "type " << t;
     EXPECT_GE(wire.per_type[t].p99_us, local.per_type[t].p99_us)

@@ -203,7 +203,7 @@ TEST(StudyCatalog, ThreeStudyServiceMatchesSingleStudyServicesLocally) {
   ASSERT_EQ(stats.per_study.size(), 3u);
   for (int s = 0; s < 3; ++s) {
     EXPECT_EQ(stats.per_study[s].name, kNames[s]);
-    EXPECT_EQ(stats.per_study[s].served, submitted[s]);
+    EXPECT_EQ(stats.per_study[s].requests.served, submitted[s]);
   }
 }
 

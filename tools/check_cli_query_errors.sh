@@ -5,7 +5,9 @@
 # `error: ...` in the bad query's slot, and exit 1. A snapshot that cannot
 # be loaded (a truncated file, a directory, a missing path) must fail the
 # run the same way: exit 1 and an `error:` line naming the reason, never an
-# abort.
+# abort. Last, the drain lines: a `serve --listen 0` that answered one
+# `query --connect` and then got SIGTERM must print the `# wire:` and
+# `# served=` counters that irp-bench parses (irp-bench/cpp/server_process.cpp).
 #
 # Registered as the `cli_query_errors_check` ctest; takes the run_study_cli
 # binary as $1. Builds one default-scale snapshot (a few seconds).
@@ -15,7 +17,8 @@ set -u
 
 bin="${1:?usage: check_cli_query_errors.sh path/to/run_study_cli}"
 work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
+server=""
+trap '[ -n "$server" ] && kill "$server" 2>/dev/null; rm -rf "$work"' EXIT
 status=0
 
 fail() {
@@ -75,6 +78,45 @@ bad_snapshot "truncated" "$work/truncated.bin" "truncated image"
 bad_snapshot "directory" "$work/directory.bin" "not a regular file"
 bad_snapshot "missing" "$work/missing.bin" "cannot open file for reading"
 
+# $1: the drain line's prefix, then the keys it must carry.
+drain_keys() {
+  prefix="$1"
+  shift
+  line=$(grep "^$prefix" "$work/serve.txt")
+  [ -n "$line" ] || fail "drain: no '$prefix' line"
+  for key in "$@"; do
+    echo "$line" | grep -q " $key=[0-9]" ||
+      fail "drain: '$prefix' line lacks $key"
+  done
+}
+
+"$bin" serve --snapshot "$work/study.bin" --listen 0 >"$work/serve.txt" 2>&1 &
+server=$!
+port=""
+tries=0
+while [ -z "$port" ] && [ "$tries" -lt 200 ]; do
+  port=$(sed -n 's/^oracle serving .* on [^ ]*:\([0-9]*\) .*/\1/p' \
+    "$work/serve.txt")
+  [ -n "$port" ] || sleep 0.1
+  tries=$((tries + 1))
+done
+if [ -z "$port" ]; then
+  fail "drain: serve --listen 0 printed no port"
+else
+  echo "rel 1 2" | "$bin" query --connect "127.0.0.1:$port" \
+    >"$work/remote.txt" 2>/dev/null ||
+    fail "drain: query --connect failed"
+  grep -q '^relationship ' "$work/remote.txt" ||
+    fail "drain: query --connect printed no answer"
+  kill -TERM "$server"
+  wait "$server" || fail "drain: serve exited $? after SIGTERM"
+  server=""
+  drain_keys "# wire:" frames_in shed bytes_in bytes_out decode_errors
+  drain_keys "# served=" peak_queue
+  frames=$(sed -n 's/^# wire:.* frames_in=\([0-9]*\).*/\1/p' "$work/serve.txt")
+  [ "${frames:-0}" -ge 1 ] || fail "drain: frames_in=${frames:-none}, expected >= 1"
+fi
+
 [ "$status" -eq 0 ] &&
-  echo "cli-query-errors-check: ok (2 modes, 3 unloadable snapshots)"
+  echo "cli-query-errors-check: ok (2 modes, 3 unloadable snapshots, drain lines)"
 exit "$status"
