@@ -17,7 +17,7 @@
 // 4-byte PathIds, prepending on export is an O(1) intern, path equality is
 // an integer compare, and the decision process runs allocation-free over
 // attributes cached at delivery time. The frozen pre-PathTable engine is
-// kept in bgp/baseline_engine.hpp as a correctness oracle and perf baseline;
+// kept in bgp/baseline_engine.hpp as a correctness oracle;
 // test_engine_equivalence asserts both produce byte-identical results.
 #pragma once
 

@@ -15,9 +15,10 @@
 //     choice — reverse-engineers which BGP decision step drove it (Table 2).
 #pragma once
 
-#include <map>
-#include <set>
+#include <cstdint>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bgp/engine.hpp"
@@ -51,6 +52,31 @@ struct AlternateRouteReport {
   std::size_t links_not_in_db = 0;
   std::size_t links_poison_only = 0;  ///< Of the new links, poisoning-only.
   std::vector<std::string> violation_notes;  ///< §4.4-style case studies.
+};
+
+/// The BGP side of alternate-route discovery: what the testbed saw while
+/// poisoning each target's routes, before any of it is compared with the
+/// analyst's relationship database.
+struct DiscoverySimulation {
+  /// One route a target chose: its next hop and AS-path length.
+  struct Choice {
+    Asn next_hop = 0;
+    std::size_t len = 0;
+  };
+  /// Per target, in the order the targets ran: its choice before each
+  /// poisoning round, until it ran out of routes (or rounds).
+  std::vector<std::pair<Asn, std::vector<Choice>>> sequences;
+  std::size_t poisoned_announcements = 0;
+  /// Every AS-level link seen on an observed path, keyed by
+  /// link_key(a, b); the value is true once the link was seen on a path
+  /// toward an unpoisoned announcement.
+  std::unordered_map<std::uint64_t, bool> links;
+
+  /// The key of the unordered link {a, b}: the smaller ASN in the high half.
+  static std::uint64_t link_key(Asn a, Asn b) {
+    if (a > b) std::swap(a, b);
+    return (std::uint64_t{a} << 32) | b;
+  }
 };
 
 /// Row counts of Table 2.
@@ -104,8 +130,26 @@ class ActiveExperiment {
                    std::vector<Asn> vantage_ases, ActiveConfig config,
                    const SiblingGroups* siblings = nullptr);
 
-  /// Runs the poisoning-based discovery over all reachable targets.
+  /// Runs the poisoning-based discovery over all reachable targets:
+  /// evaluate_discovery(simulate_discovery(...)) over this experiment's
+  /// inputs.
   AlternateRouteReport discover_alternate_routes();
+
+  /// The simulation half of discovery: converges the testbed prefix on one
+  /// engine (route ages carry over from target to target), observes it
+  /// from `vantage_ases` and the collector peers, and poisons each target's
+  /// chosen next hop round by round. It reads no inferred data, so it can
+  /// run before (or beside) relationship inference.
+  static DiscoverySimulation simulate_discovery(
+      const GeneratedInternet& net, const GroundTruthPolicy& policy,
+      const std::vector<Asn>& vantage_ases, const ActiveConfig& config);
+
+  /// The evaluation half: scores each target's sequence and the observed
+  /// links against the inferred relationships (and sibling groups, when
+  /// given).
+  static AlternateRouteReport evaluate_discovery(
+      const DiscoverySimulation& sim, const InferredTopology& inferred,
+      const SiblingGroups* siblings = nullptr);
 
   /// Runs the magnet/anycast experiment across all mux sites.
   Table2Report magnet_experiment();
@@ -118,10 +162,6 @@ class ActiveExperiment {
                                           int count);
 
  private:
-  /// AS-level paths toward the prefix currently observable: forwarding
-  /// paths from the vantage ASes plus collector feed paths.
-  std::set<std::vector<Asn>> observe(const BgpEngine& engine) const;
-
   const GeneratedInternet* net_;
   const GroundTruthPolicy* policy_;
   const InferredTopology* inferred_;

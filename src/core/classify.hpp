@@ -14,10 +14,10 @@
 #pragma once
 
 #include <atomic>
-#include <map>
+#include <deque>
 #include <memory>
 #include <mutex>
-#include <tuple>
+#include <optional>
 
 #include "core/decisions.hpp"
 #include "core/gr_model.hpp"
@@ -54,8 +54,11 @@ std::vector<ScenarioOptions> figure1_options();
 /// is therefore cheap to call per decision after warm-up. The cache is
 /// thread-safe: concurrent calls may classify in parallel, and two threads
 /// asking for the same key never duplicate a GrModel computation (per-entry
-/// once semantics). References returned by path_set stay valid for the
-/// classifier's lifetime.
+/// once semantics). A lookup that hits takes no lock. A prefix the
+/// observations never saw the destination announce shares one entry per
+/// PSP mode with every other such prefix (its filter is the same), so
+/// remote queries cannot grow the cache beyond the observed prefixes.
+/// References returned by path_set stay valid for the classifier's lifetime.
 class DecisionClassifier {
  public:
   DecisionClassifier(const InferredTopology* topo, std::size_t num_ases,
@@ -112,12 +115,31 @@ class DecisionClassifier {
   std::optional<Relationship> effective_relationship(
       const RouteDecision& d, const ScenarioOptions& opts) const;
 
-  /// The cache key of a decision under a scenario: destination AS, PSP
-  /// criteria actually in effect (kNone when no observations are wired in),
-  /// and — only when PSP is active — the destination prefix. Scenarios
-  /// without PSP share one entry per destination.
-  using CacheKey = std::tuple<Asn, int, Ipv4Prefix>;
-  CacheKey cache_key(const RouteDecision& d, const ScenarioOptions& opts) const;
+  /// One cached path set. The key within its destination is the PSP
+  /// criteria in effect (kNone when no observations are wired in) and, when
+  /// the filter is prefix-specific, the prefix; `prefix` is empty for kNone
+  /// and for the entry shared by every prefix the destination was never
+  /// seen announcing. `once` guarantees a single computation per key even
+  /// under concurrent lookups.
+  struct CacheEntry {
+    Asn dest;
+    PspMode psp;
+    std::optional<Ipv4Prefix> prefix;
+    CacheEntry* older;  ///< The destination's previous list head.
+    std::once_flag once;
+    GrPathSet set;
+  };
+
+  /// The entry of a decision under a scenario, inserted if new
+  /// (`inserted` reports which).
+  CacheEntry& entry(const RouteDecision& d, const ScenarioOptions& opts,
+                    bool& inserted) const;
+  /// The entry's path set, computed on first use.
+  const GrPathSet& computed(CacheEntry& entry) const;
+
+  bool is_best(const RouteDecision& d, const ScenarioOptions& opts,
+               const GrPathSet& ps) const;
+  bool is_short(const RouteDecision& d, const GrPathSet& ps) const;
 
   const InferredTopology* topo_;
   GrModel model_;
@@ -125,15 +147,12 @@ class DecisionClassifier {
   const SiblingGroups* siblings_;
   const BgpObservations* observations_;
 
-  /// One cache slot; `once` guarantees a single computation per key even
-  /// under concurrent lookups. Entries are heap-allocated so references
-  /// handed out stay stable while the map grows.
-  struct CacheEntry {
-    std::once_flag once;
-    GrPathSet set;
-  };
-  mutable std::mutex cache_mu_;  ///< Guards the map, not the entries.
-  mutable std::map<CacheKey, std::unique_ptr<CacheEntry>> cache_;
+  /// Per destination ASN (index 0 unused), the newest entry of an immutable
+  /// list; lists only grow at the head, published with release stores, so
+  /// readers walk them without a lock.
+  std::unique_ptr<std::atomic<CacheEntry*>[]> heads_;
+  mutable std::mutex cache_mu_;  ///< Serializes insertion only.
+  mutable std::deque<CacheEntry> entries_;  ///< Owns every entry; stable.
   mutable std::atomic<std::size_t> cache_misses_{0};
 };
 

@@ -80,8 +80,12 @@ GrModel::GrModel(const InferredTopology* topo, std::size_t num_ases)
   }
 }
 
-GrPathSet GrModel::compute(Asn dest, const OriginEdgeFilter& filter) const {
+void GrModel::check_destination(Asn dest) const {
   IRP_CHECK(dest >= 1 && dest <= num_ases_, "destination out of range");
+}
+
+GrPathSet GrModel::compute(Asn dest, const OriginEdgeFilter& filter) const {
+  check_destination(dest);
   GrPathSet out;
   out.dest_ = dest;
   out.cust_.assign(num_ases_ + 1, kUnreachable);

@@ -81,6 +81,10 @@ class GrModel {
   /// only neighbors passing it may use their direct edge to `dest`.
   GrPathSet compute(Asn dest, const OriginEdgeFilter& filter = nullptr) const;
 
+  /// Throws CheckError unless `dest` is in 1..num_ases — compute()'s own
+  /// precondition, for callers that index per-destination state first.
+  void check_destination(Asn dest) const;
+
   std::size_t num_ases() const { return num_ases_; }
 
  private:

@@ -182,7 +182,16 @@ PassiveDataset run_passive_study(const GeneratedInternet& net,
                                  const PassiveStudyConfig& config,
                                  ThreadPool& pool) {
   PassiveDataset ds;
-  Rng rng{config.seed};
+  finish_passive_study(net, config, pool,
+                       begin_passive_study(net, config, pool, ds), ds);
+  return ds;
+}
+
+PassiveCampaign begin_passive_study(const GeneratedInternet& net,
+                                    const PassiveStudyConfig& config,
+                                    ThreadPool& pool, PassiveDataset& ds) {
+  PassiveCampaign campaign{{}, {}, Rng{config.seed}};
+  Rng& rng = campaign.rng;
   const Topology& topo = net.topology;
   const int measurement_epoch = net.measurement_epoch;
 
@@ -197,8 +206,8 @@ PassiveDataset run_passive_study(const GeneratedInternet& net,
   // measurement epoch (whose set also needs the measurement feed), infers
   // it. Path sets do not depend on insertion order, so merging the parts
   // yields the corpus a serial run builds.
-  std::vector<PathCorpus> parts(static_cast<std::size_t>(measurement_epoch) +
-                                1);
+  std::vector<PathCorpus>& parts = campaign.parts;
+  parts.resize(static_cast<std::size_t>(measurement_epoch) + 1);
   ds.snapshots.resize(parts.size());
   ds.engine =
       std::make_unique<BgpEngine>(&topo, ds.policy.get(), measurement_epoch);
@@ -234,7 +243,7 @@ PassiveDataset run_passive_study(const GeneratedInternet& net,
 
   // Hostname list, shuffled once; each probe measures a rotating window so
   // every hostname is covered while respecting the probing budget.
-  std::vector<std::string> hostnames;
+  std::vector<std::string>& hostnames = campaign.hostnames;
   for (const auto& service : net.content.services())
     for (const auto& h : service.hostnames) {
       hostnames.push_back(h.name);
@@ -244,6 +253,14 @@ PassiveDataset run_passive_study(const GeneratedInternet& net,
     }
   rng.shuffle(hostnames);
   IRP_CHECK(!hostnames.empty(), "no content hostnames to measure");
+  return campaign;
+}
+
+void finish_passive_study(const GeneratedInternet& net,
+                          const PassiveStudyConfig& config, ThreadPool& pool,
+                          PassiveCampaign campaign, PassiveDataset& ds) {
+  const int measurement_epoch = net.measurement_epoch;
+  std::vector<PathCorpus>& parts = campaign.parts;
 
   // -- 3. The measurement epoch's path set and inference (index 0) beside
   // the traceroutes and decision extraction (index 1).
@@ -256,7 +273,7 @@ PassiveDataset run_passive_study(const GeneratedInternet& net,
           infer_snapshot(latest.paths(measurement_epoch), config.inference);
       return;
     }
-    measure(net, hostnames, config.hostnames_per_probe, ds);
+    measure(net, campaign.hostnames, config.hostnames_per_probe, ds);
   });
 
   // -- 4. Inference products: the aggregation over every epoch, siblings,
@@ -265,11 +282,10 @@ PassiveDataset run_passive_study(const GeneratedInternet& net,
   ds.inferred = aggregate_snapshots(ds.snapshots);
 
   ds.siblings = infer_siblings(net.whois, net.soa);
-  Rng hybrid_rng = rng.fork();
-  ds.hybrid = build_hybrid_dataset(topo, config.hybrid_coverage, hybrid_rng);
+  Rng hybrid_rng = campaign.rng.fork();
+  ds.hybrid = build_hybrid_dataset(net.topology, config.hybrid_coverage,
+                                   hybrid_rng);
   ds.observations.ingest(ds.measurement_feed);
-
-  return ds;
 }
 
 }  // namespace irp

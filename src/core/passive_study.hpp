@@ -16,7 +16,10 @@
 // On a pool these overlap: steps 1 and 2 run in one loop; each earlier
 // epoch's path set and inference run as soon as that epoch's last corpus
 // job lands; the measurement epoch's set and inference, which also need
-// the measurement feed, run beside steps 3-4 (DESIGN.md §6).
+// the measurement feed, run beside steps 3-4 (DESIGN.md §6). The campaign
+// splits after the probe sample (begin_passive_study) so that a caller may
+// run other work that needs only the converged system and the probes
+// beside the rest (finish_passive_study).
 //
 // Everything downstream (Figure 1, 2, 3, Tables 3, 4) consumes the returned
 // PassiveDataset, which contains only analyst-observable artifacts plus the
@@ -25,6 +28,7 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "bgp/engine.hpp"
@@ -38,6 +42,7 @@
 #include "inference/relationships.hpp"
 #include "inference/siblings.hpp"
 #include "topo/generator.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace irp {
@@ -57,11 +62,12 @@ struct PassiveStudyConfig {
   /// measurement-epoch convergence beside its corpus convergences on it,
   /// each epoch's corpus assembly and inference as soon as that epoch's
   /// jobs are done, and the measurement epoch's inference beside the
-  /// traceroutes; run_full_study also runs the classifier precompute and
-  /// the post-passive branches (active experiments, extended model,
-  /// analyses) on the same pool. All randomness stays in the serial
-  /// orchestration, so any thread count produces byte-identical results;
-  /// 1 (the default) is the classic serial path.
+  /// traceroutes; run_full_study also runs the active experiments' BGP
+  /// simulation beside the campaign's second half, and the classifier
+  /// precompute, the extended model and each analysis, on the same pool.
+  /// All randomness stays in the serial orchestration, so any thread count
+  /// produces byte-identical results; 1 (the default) is the classic
+  /// serial path.
   ParallelConfig parallel;
   std::uint64_t seed = 7;
 };
@@ -102,10 +108,33 @@ PassiveDataset run_passive_study(const GeneratedInternet& net,
                                  const PassiveStudyConfig& config);
 
 /// The same on a caller-owned pool (`config.parallel` is not read), so a
-/// whole study runs on one pool.
+/// whole study runs on one pool: finish_passive_study(begin_passive_study()).
 PassiveDataset run_passive_study(const GeneratedInternet& net,
                                  const PassiveStudyConfig& config,
                                  ThreadPool& pool);
+
+/// What the first half of the campaign hands its second half besides the
+/// dataset: each epoch's corpus part, the shuffled hostname list and the
+/// campaign's random stream.
+struct PassiveCampaign {
+  std::vector<PathCorpus> parts;  ///< Per epoch, ascending.
+  std::vector<std::string> hostnames;
+  Rng rng;
+};
+
+/// Steps 1-2 into `ds` and the random draws of step 3: the convergence
+/// loop, the measurement feed, the probe sample and the hostname shuffle. Afterwards ds.policy, ds.engine,
+/// ds.measurement_feed and ds.probes are final, and finish_passive_study
+/// writes none of them, so they may be read while it runs.
+PassiveCampaign begin_passive_study(const GeneratedInternet& net,
+                                    const PassiveStudyConfig& config,
+                                    ThreadPool& pool, PassiveDataset& ds);
+
+/// The rest of steps 3-5 into `ds`: traceroutes and decisions beside the
+/// measurement epoch's inference, then the aggregated inference products.
+void finish_passive_study(const GeneratedInternet& net,
+                          const PassiveStudyConfig& config, ThreadPool& pool,
+                          PassiveCampaign campaign, PassiveDataset& ds);
 
 /// Announces every originated prefix of the given ASes on `engine`
 /// (honoring selective-announcement restrictions) and converges.

@@ -5,23 +5,17 @@
 namespace irp {
 namespace {
 
-/// The active chain (§3.2, §4.4): vantage selection, alternate-route
-/// discovery, then the magnet experiment.
-void run_active_experiments(const GeneratedInternet& net,
-                            const PassiveDataset& ds,
-                            const ActiveConfig& config,
-                            StudyResults& results) {
-  // Vantage candidates: the distinct probe ASes of the passive campaign.
+/// The active chain's vantages (§3.2): greedy coverage over the distinct
+/// probe ASes of the passive campaign.
+std::vector<Asn> select_active_vantages(const GeneratedInternet& net,
+                                        const PassiveDataset& ds,
+                                        const ActiveConfig& config) {
   std::set<Asn> candidate_set;
   for (const Probe& p : ds.probes) candidate_set.insert(p.asn);
   const std::vector<Asn> candidates{candidate_set.begin(),
                                     candidate_set.end()};
-  const std::vector<Asn> vantages = ActiveExperiment::select_vantages(
-      net, *ds.policy, candidates, config.traceroute_vantages);
-  ActiveExperiment active{&net, ds.policy.get(), &ds.inferred, vantages,
-                          config, &ds.siblings};
-  results.alternate = active.discover_alternate_routes();
-  results.table2 = active.magnet_experiment();
+  return ActiveExperiment::select_vantages(net, *ds.policy, candidates,
+                                           config.traceroute_vantages);
 }
 
 }  // namespace
@@ -30,39 +24,59 @@ StudyResults run_full_study(const StudyConfig& config) {
   StudyResults results;
   results.net = generate_internet(config.generator);
   const GeneratedInternet& net = *results.net;
+  PassiveDataset& ds = results.passive;
   ThreadPool pool{config.passive.parallel.threads};
 
-  results.passive = run_passive_study(net, config.passive, pool);
-  const PassiveDataset& ds = results.passive;
+  PassiveCampaign campaign = begin_passive_study(net, config.passive, pool, ds);
 
-  const DecisionClassifier classifier = make_classifier(ds);
-  // Warm the GR path-set cache in parallel; every analysis below then hits
-  // the cache. A no-op for results — purely a wall-clock optimization.
-  classifier.precompute(ds.decisions, pool);
-
-  // Three branches that only read the frozen passive dataset (and the
-  // warmed classifier), each writing its own report fields. The longest,
-  // the active chain, comes first so it starts first.
-  pool.parallel_for(0, 3, [&](std::size_t branch) {
-    switch (branch) {
-      case 0:
-        if (config.run_active)
-          run_active_experiments(net, ds, config.active, results);
-        break;
-      case 1:
-        results.extended = compute_extended_model(ds, net, classifier, pool);
-        break;
-      case 2:
-        results.table1 = compute_table1(ds, net);
-        results.figure1 = compute_figure1(ds, classifier);
-        results.skew = compute_skew(ds, net, classifier);
-        results.figure3 = compute_figure3(ds, net, classifier);
-        results.table3 = compute_table3(ds, net, classifier);
-        results.table4 = compute_table4(ds, net, classifier);
-        results.psp = validate_psp(ds, net, classifier);
-        break;
+  // Two branches over the products of the campaign's first half. Index 0,
+  // on this thread: the active chain's BGP half (vantage selection and the
+  // discovery simulation), which reads only the Internet, the ground-truth
+  // policy and the probe sample. Index 1: the rest of the campaign, the
+  // classifier precompute, then the extended model and each analysis as an
+  // index of its own; they only read the finished dataset and the warmed
+  // classifier, and each writes its own report fields.
+  std::vector<Asn> vantages;
+  DiscoverySimulation discovery;
+  pool.parallel_for(0, 2, [&](std::size_t branch) {
+    if (branch == 0) {
+      if (!config.run_active) return;
+      vantages = select_active_vantages(net, ds, config.active);
+      discovery = ActiveExperiment::simulate_discovery(net, *ds.policy,
+                                                       vantages, config.active);
+      return;
     }
+    finish_passive_study(net, config.passive, pool, std::move(campaign), ds);
+    const DecisionClassifier classifier = make_classifier(ds);
+    // Warm the GR path-set cache in parallel; every analysis below then
+    // hits the cache. A no-op for results — purely a wall-clock
+    // optimization.
+    classifier.precompute(ds.decisions, pool);
+    pool.parallel_for(0, 8, [&](std::size_t analysis) {
+      switch (analysis) {
+        case 0:
+          results.extended = compute_extended_model(ds, net, classifier, pool);
+          break;
+        case 1: results.figure1 = compute_figure1(ds, classifier); break;
+        case 2: results.skew = compute_skew(ds, net, classifier); break;
+        case 3: results.figure3 = compute_figure3(ds, net, classifier); break;
+        case 4: results.table3 = compute_table3(ds, net, classifier); break;
+        case 5: results.table4 = compute_table4(ds, net, classifier); break;
+        case 6: results.psp = validate_psp(ds, net, classifier); break;
+        case 7: results.table1 = compute_table1(ds, net); break;
+      }
+    });
   });
+
+  // The active chain's inference half: score the discovery against the
+  // inferred relationships, then the magnet experiment (§3.2, §4.4).
+  if (config.run_active) {
+    results.alternate = ActiveExperiment::evaluate_discovery(
+        discovery, ds.inferred, &ds.siblings);
+    ActiveExperiment active{&net, ds.policy.get(), &ds.inferred, vantages,
+                            config.active, &ds.siblings};
+    results.table2 = active.magnet_experiment();
+  }
   return results;
 }
 

@@ -161,15 +161,4 @@ const OracleSnapshot::PrefixRoutes* OracleIndex::prefix_routes(
   return it == routes_.end() ? nullptr : it->second;
 }
 
-const OracleSnapshot::RouteEntry* OracleIndex::route(
-    Asn asn, const Ipv4Prefix& prefix) const {
-  const OracleSnapshot::PrefixRoutes* pr = prefix_routes(prefix);
-  if (pr == nullptr) return nullptr;
-  auto it = std::lower_bound(
-      pr->entries.begin(), pr->entries.end(), asn,
-      [](const OracleSnapshot::RouteEntry& e, Asn a) { return e.asn < a; });
-  if (it == pr->entries.end() || it->asn != asn) return nullptr;
-  return &*it;
-}
-
 }  // namespace irp

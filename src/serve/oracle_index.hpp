@@ -152,11 +152,6 @@ class OracleIndex {
   const OracleSnapshot::PrefixRoutes* prefix_routes(
       const Ipv4Prefix& prefix) const;
 
-  /// Selected/alternate routes of `asn` toward `prefix`; nullptr when the
-  /// AS had no route.
-  const OracleSnapshot::RouteEntry* route(Asn asn,
-                                          const Ipv4Prefix& prefix) const;
-
   ClassifyCache::Stats cache_stats() const { return cache_.stats(); }
   /// Re-budgets the classify cache (see ClassifyCache::set_capacity). Safe
   /// to call concurrently with queries; answers never change, only latency.

@@ -77,15 +77,16 @@ struct Evaluator {
 
   OracleResponse operator()(const AlternateRoutesRequest& req) const {
     AlternateRoutesResponse resp;
+    const OracleSnapshot::PrefixRoutes* pr = index->prefix_routes(req.prefix);
     const OracleSnapshot::RouteEntry* entry =
-        index->route(req.asn, req.prefix);
+        pr == nullptr ? nullptr : pr->find(req.asn);
     if (entry == nullptr) return resp;
     resp.has_route = true;
     resp.self_originated = entry->self_originated;
     resp.next_hop = entry->next_hop;
     resp.selected = index->paths().materialize(entry->selected);
-    resp.alternates.reserve(entry->alternates.size());
-    for (const OracleSnapshot::AlternateRoute& alt : entry->alternates) {
+    resp.alternates.reserve(entry->num_alternates);
+    for (const OracleSnapshot::AlternateRoute& alt : pr->alternates_of(*entry)) {
       AlternateRoutesResponse::Alternate out;
       out.path = index->paths().materialize(alt.path);
       out.from_asn = alt.from_asn;

@@ -78,8 +78,8 @@ void encode_payload(const OracleSnapshot& snap, Out& w) {
       w.u32(e.selected);
       w.u32(e.next_hop);
       w.u8(e.self_originated ? 1 : 0);
-      w.u32(static_cast<std::uint32_t>(e.alternates.size()));
-      for (const auto& alt : e.alternates) {
+      w.u32(e.num_alternates);
+      for (const auto& alt : pr.alternates_of(e)) {
         w.u32(alt.path);
         w.u32(alt.from_asn);
       }
@@ -100,6 +100,24 @@ Ipv4Prefix read_canonical_prefix(ByteReader& r) {
 }
 
 }  // namespace
+
+const OracleSnapshot::RouteEntry* OracleSnapshot::PrefixRoutes::find(
+    Asn asn) const {
+  auto it = std::lower_bound(
+      entries.begin(), entries.end(), asn,
+      [](const RouteEntry& e, Asn a) { return e.asn < a; });
+  return it == entries.end() || it->asn != asn ? nullptr : &*it;
+}
+
+void OracleSnapshot::PrefixRoutes::add(RouteEntry entry,
+                                       std::span<const AlternateRoute> alts) {
+  IRP_CHECK(entries.empty() || entries.back().asn < entry.asn,
+            "oracle snapshot: route entries not ascending by ASN");
+  entry.alternates_begin = static_cast<std::uint32_t>(alternates.size());
+  entry.num_alternates = static_cast<std::uint32_t>(alts.size());
+  alternates.insert(alternates.end(), alts.begin(), alts.end());
+  entries.push_back(entry);
+}
 
 std::size_t OracleSnapshot::num_route_entries() const {
   std::size_t n = 0;
@@ -236,6 +254,7 @@ OracleSnapshot OracleSnapshot::from_bytes_into(std::string_view bytes,
   snap.routes.reserve(num_prefixes);
   std::unordered_set<Ipv4Prefix, Ipv4PrefixHash> seen_prefixes;
   seen_prefixes.reserve(num_prefixes);
+  std::vector<AlternateRoute> alts;  // One entry's, reused.
   for (std::uint32_t i = 0; i < num_prefixes; ++i) {
     PrefixRoutes pr;
     pr.prefix = read_canonical_prefix(r);
@@ -257,7 +276,7 @@ OracleSnapshot OracleSnapshot::from_bytes_into(std::string_view bytes,
                 "oracle snapshot: self_originated flag is not 0 or 1");
       entry.self_originated = self_originated == 1;
       const std::uint32_t num_alt = r.count(8);
-      entry.alternates.reserve(num_alt);
+      alts.clear();
       for (std::uint32_t a = 0; a < num_alt; ++a) {
         AlternateRoute alt;
         const PathId path = r.u32();
@@ -265,11 +284,9 @@ OracleSnapshot OracleSnapshot::from_bytes_into(std::string_view bytes,
                   "oracle snapshot: alternate references a missing path");
         alt.path = remap[path];
         alt.from_asn = r.u32();
-        entry.alternates.push_back(alt);
+        alts.push_back(alt);
       }
-      IRP_CHECK(pr.entries.empty() || pr.entries.back().asn < entry.asn,
-                "oracle snapshot: route entries not ascending by ASN");
-      pr.entries.push_back(std::move(entry));
+      pr.add(entry, alts);
     }
     snap.routes.push_back(std::move(pr));
   }
@@ -321,10 +338,24 @@ OracleSnapshot snapshot_study(const PassiveDataset& ds) {
   std::vector<PathId> memo;
   const std::vector<Ipv4Prefix> prefixes = engine.prefixes();
   snap.routes.reserve(prefixes.size());
+  std::vector<OracleSnapshot::AlternateRoute> alts;  // One entry's, reused.
   for (const Ipv4Prefix& prefix : prefixes) {
     OracleSnapshot::PrefixRoutes pr;
     pr.prefix = prefix;
-    pr.entries.reserve(num_ases);  // At most one entry per AS ...
+    // Count first (visit_routes is a pure read), so both arrays are
+    // allocated once at their exact size: every RIB route but the selected
+    // one is an alternate.
+    std::size_t num_entries = 0, num_alternates = 0;
+    engine.visit_routes(prefix, [&](Asn, const BgpEngine::Selected& sel,
+                                    std::span<const BgpEngine::RibRoute> rib) {
+      ++num_entries;
+      num_alternates += static_cast<std::size_t>(
+          std::count_if(rib.begin(), rib.end(), [&](const auto& route) {
+            return route.via_link != sel.via_link;
+          }));
+    });
+    pr.entries.reserve(num_entries);
+    pr.alternates.reserve(num_alternates);
     engine.visit_routes(prefix, [&](Asn asn, const BgpEngine::Selected& sel,
                                     std::span<const BgpEngine::RibRoute> rib) {
       OracleSnapshot::RouteEntry entry;
@@ -333,21 +364,15 @@ OracleSnapshot snapshot_study(const PassiveDataset& ds) {
       entry.next_hop = sel.next_hop;
       entry.self_originated = sel.self_originated;
       if (sel.self_originated) pr.origin = asn;
-      // Every RIB route but the selected one; sized exactly, since most ASes
-      // have none and the snapshot holds one entry per (AS, prefix).
-      entry.alternates.reserve(static_cast<std::size_t>(
-          std::count_if(rib.begin(), rib.end(), [&](const auto& route) {
-            return route.via_link != sel.via_link;
-          })));
+      alts.clear();
       for (const BgpEngine::RibRoute& route : rib) {
         if (route.via_link == sel.via_link) continue;  // The selected route.
-        entry.alternates.push_back(OracleSnapshot::AlternateRoute{
+        alts.push_back(OracleSnapshot::AlternateRoute{
             snap.paths.import(engine_paths, route.path, memo),
             route.from_asn});
       }
-      pr.entries.push_back(std::move(entry));
+      pr.add(entry, alts);
     });
-    pr.entries.shrink_to_fit();  // ... and held at exactly the routed ones.
     snap.routes.push_back(std::move(pr));
   }
   return snap;

@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -81,14 +82,19 @@ struct OracleSnapshot {
     Asn from_asn = 0;
   };
 
-  /// Selected route + alternates of one AS for one prefix.
+  /// Selected route of one AS for one prefix; its alternates are the
+  /// [alternates_begin, alternates_begin + num_alternates) slice of the
+  /// prefix's flat `alternates` array (PrefixRoutes::alternates_of).
   struct RouteEntry {
     Asn asn = 0;
     PathId selected = kEmptyPathId;  ///< Into `paths`; excludes `asn` itself.
     Asn next_hop = 0;                ///< 0 when self-originated.
+    std::uint32_t alternates_begin = 0;
+    std::uint32_t num_alternates = 0;
     bool self_originated = false;
-    std::vector<AlternateRoute> alternates;  ///< Adjacency-list order.
   };
+  static_assert(sizeof(RouteEntry) <= 24,
+                "a study image holds one RouteEntry per routed (AS, prefix)");
 
   /// All per-AS routes toward one announced prefix; entries ascending by ASN
   /// (binary-searchable), ASes without a route omitted.
@@ -96,6 +102,21 @@ struct OracleSnapshot {
     Ipv4Prefix prefix;
     Asn origin = 0;
     std::vector<RouteEntry> entries;
+    /// Every entry's alternates, in entry order and, within an entry, in
+    /// adjacency-list order.
+    std::vector<AlternateRoute> alternates;
+
+    /// The entry of `asn`, or nullptr when it has no route.
+    const RouteEntry* find(Asn asn) const;
+
+    /// The alternates of one of this block's entries.
+    std::span<const AlternateRoute> alternates_of(const RouteEntry& e) const {
+      return {alternates.data() + e.alternates_begin, e.num_alternates};
+    }
+
+    /// Appends `entry`, whose ASN must exceed every ASN so far, with its
+    /// alternates; sets the entry's slice fields.
+    void add(RouteEntry entry, std::span<const AlternateRoute> alts);
   };
 
   std::uint32_t num_ases = 0;  ///< Dense ASN bound (ASNs are 1..num_ases).

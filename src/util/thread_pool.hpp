@@ -3,9 +3,10 @@
 // This is the parallelism layer of a study: run_full_study builds one pool
 // and runs every phase on it — the measurement-epoch convergence beside
 // the per-batch corpus convergences and each epoch's corpus assembly and
-// relationship inference, GR path-set precomputation, and the three
-// post-passive branches (active experiments, extended model, analyses),
-// whose own loops nest inside. Three rules keep parallel runs
+// relationship inference; then the active experiments' BGP simulation
+// beside the rest of the passive campaign, the GR path-set precompute and
+// the extended model and analyses, whose own loops nest inside. Three
+// rules keep parallel runs
 // byte-identical to serial runs:
 //   * Work is *claimed* dynamically (atomic index counter) but results are
 //     always *consumed* in input order — parallel_map returns outputs at

@@ -54,16 +54,25 @@ OracleSnapshot tiny_snapshot(Asn poison) {
   const PathId three_one = t.intern(AsPath{{3, 1}, {poison}});
   const PathId two_one = t.intern(AsPath{{2, 1}, {poison, 10}});
 
-  using Entry = OracleSnapshot::RouteEntry;
-  OracleSnapshot::PrefixRoutes r1{p1, 4, {}};
-  r1.entries.push_back(Entry{1, via2, 2, false, {{via3, 3}}});
-  r1.entries.push_back(Entry{2, direct, 4, false, {}});
-  r1.entries.push_back(Entry{3, direct, 4, false, {{via2, 2}}});
-  r1.entries.push_back(Entry{4, kEmptyPathId, 0, true, {}});
-  OracleSnapshot::PrefixRoutes r2{p2, 1, {}};
-  r2.entries.push_back(Entry{1, origin1, 0, true, {}});
-  r2.entries.push_back(Entry{3, one, 1, false, {{two_one, 2}}});
-  r2.entries.push_back(Entry{4, three_one, 3, false, {}});
+  const auto entry = [](Asn asn, PathId selected, Asn next_hop,
+                         bool self_originated) {
+    OracleSnapshot::RouteEntry e;
+    e.asn = asn;
+    e.selected = selected;
+    e.next_hop = next_hop;
+    e.self_originated = self_originated;
+    return e;
+  };
+  using Alt = OracleSnapshot::AlternateRoute;
+  OracleSnapshot::PrefixRoutes r1{p1, 4, {}, {}};
+  r1.add(entry(1, via2, 2, false), std::vector<Alt>{{via3, 3}});
+  r1.add(entry(2, direct, 4, false), {});
+  r1.add(entry(3, direct, 4, false), std::vector<Alt>{{via2, 2}});
+  r1.add(entry(4, kEmptyPathId, 0, true), {});
+  OracleSnapshot::PrefixRoutes r2{p2, 1, {}, {}};
+  r2.add(entry(1, origin1, 0, true), {});
+  r2.add(entry(3, one, 1, false), std::vector<Alt>{{two_one, 2}});
+  r2.add(entry(4, three_one, 3, false), {});
   s.routes = {r1, r2};
   return s;
 }

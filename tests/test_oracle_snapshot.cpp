@@ -106,7 +106,9 @@ TEST(OracleSnapshot, RoutesMatchTheLiveEngine) {
     for (Asn asn = 1; asn <= static_cast<Asn>(f.net->topology.num_ases());
          ++asn) {
       const BgpEngine::Selected* live = engine.best(asn, prefix);
-      const OracleSnapshot::RouteEntry* frozen = index.route(asn, prefix);
+      const OracleSnapshot::PrefixRoutes* block = index.prefix_routes(prefix);
+      const OracleSnapshot::RouteEntry* frozen =
+          block == nullptr ? nullptr : block->find(asn);
       ASSERT_EQ(live != nullptr, frozen != nullptr)
           << "AS " << asn << " " << prefix.to_string();
       if (live == nullptr) continue;
@@ -121,13 +123,13 @@ TEST(OracleSnapshot, RoutesMatchTheLiveEngine) {
       std::size_t expected_alternates = 0;
       for (const Route& route : rib)
         if (route.via_link != live->via_link) ++expected_alternates;
-      ASSERT_EQ(frozen->alternates.size(), expected_alternates);
+      const auto alternates = block->alternates_of(*frozen);
+      ASSERT_EQ(alternates.size(), expected_alternates);
       std::size_t alt = 0;
       for (const Route& route : rib) {
         if (route.via_link == live->via_link) continue;
-        EXPECT_EQ(index.paths().materialize(frozen->alternates[alt].path),
-                  route.path);
-        EXPECT_EQ(frozen->alternates[alt].from_asn, route.from_asn);
+        EXPECT_EQ(index.paths().materialize(alternates[alt].path), route.path);
+        EXPECT_EQ(alternates[alt].from_asn, route.from_asn);
         ++alt;
       }
     }
@@ -157,12 +159,13 @@ OracleSnapshot materializing_snapshot(const PassiveDataset& ds) {
       entry.next_hop = sel->next_hop;
       entry.self_originated = sel->self_originated;
       if (sel->self_originated) pr.origin = asn;
+      std::vector<OracleSnapshot::AlternateRoute> alternates;
       for (const Route& route : engine.routes_at(asn, prefix)) {
         if (route.via_link == sel->via_link) continue;
-        entry.alternates.push_back(OracleSnapshot::AlternateRoute{
+        alternates.push_back(OracleSnapshot::AlternateRoute{
             snap.paths.intern(route.path), route.from_asn});
       }
-      pr.entries.push_back(std::move(entry));
+      pr.add(entry, alternates);
     }
     snap.routes.push_back(std::move(pr));
   }
@@ -191,7 +194,7 @@ OracleSnapshot tiny_snapshot() {
   OracleSnapshot::RouteEntry entry;
   entry.asn = 77;
   entry.self_originated = true;
-  pr.entries.push_back(entry);
+  pr.add(entry, {});
   snap.routes.push_back(pr);
   return snap;
 }

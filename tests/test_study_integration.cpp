@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/study.hpp"
 #include "test_support.hpp"
@@ -164,6 +166,36 @@ TEST_F(StudyTest, AlternateRoutesAccounting) {
   EXPECT_LE(alt.links_poison_only, alt.links_not_in_db);
   // Most targets follow both properties (paper: 86.1%).
   EXPECT_GT(double(alt.both) / double(alt.targets), 0.5);
+}
+
+TEST_F(StudyTest, ActiveReportsArePinned) {
+  // Exact values of this small study's active reports. Discovery runs as a
+  // BGP simulation and a separate evaluation, on a different thread than
+  // the inference it is scored against; neither split may move a count.
+  const AlternateRouteReport& alt = results_->alternate;
+  EXPECT_EQ(alt.targets, 39u);
+  EXPECT_EQ(alt.both, 31u);
+  EXPECT_EQ(alt.best_only, 6u);
+  EXPECT_EQ(alt.short_only, 1u);
+  EXPECT_EQ(alt.neither, 1u);
+  EXPECT_EQ(alt.poisoned_announcements, 153u);
+  EXPECT_EQ(alt.links_observed, 167u);
+  EXPECT_EQ(alt.links_not_in_db, 11u);
+  EXPECT_EQ(alt.links_poison_only, 5u);
+  EXPECT_EQ(alt.violation_notes,
+            std::vector<std::string>{
+                "AS6 preferred AS5 (class 1) over AS24 (class 0), "
+                "contradicting inferred relationships"});
+
+  const auto expect_counts = [](const TriggerCounts& c,
+                                std::vector<std::size_t> expected) {
+    EXPECT_EQ((std::vector<std::size_t>{c.best_relationship, c.shorter_path,
+                                        c.intradomain, c.oldest_route,
+                                        c.violation}),
+              expected);
+  };
+  expect_counts(results_->table2.feeds, {26, 4, 12, 8, 7});
+  expect_counts(results_->table2.traceroutes, {35, 20, 14, 15, 15});
 }
 
 TEST_F(StudyTest, Table2HasBothChannels) {
