@@ -506,6 +506,11 @@ int cmd_serve(int argc, char** argv) {
   submitted.reserve(queries.size());
   for (const OracleRequest& request : queries)
     submitted.push_back(service.submit(request, study));
+  // Shut down (answer everything accepted, join the workers) before
+  // reading the answers: a failed query's exception object is shared with
+  // the worker's promise, and it must be released on this thread, after
+  // the join, not by a worker while its message is being printed.
+  service.shutdown();
   bool all_answered = true;
   for (OracleService::Submitted& s : submitted) {
     if (s.reject == OracleService::Reject::kUnknownStudy)
@@ -516,7 +521,6 @@ int cmd_serve(int argc, char** argv) {
       all_answered &=
           print_answer<CheckError>([&] { return s.response.get(); });
   }
-  service.shutdown();
   print_service_stats(service.stats());
   return all_answered ? 0 : 1;
 }

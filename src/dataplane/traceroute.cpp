@@ -1,5 +1,6 @@
 #include "dataplane/traceroute.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "geo/world.hpp"
@@ -78,18 +79,26 @@ std::optional<Traceroute> TracerouteSim::run(
 std::vector<Asn> TracerouteSim::forwarding_path(
     Asn src_asn, const Ipv4Prefix& dst_prefix) const {
   std::vector<Asn> path;
-  std::vector<bool> visited(topo_->num_ases() + 1, false);
+  forwarding_path(src_asn, dst_prefix, path);
+  return path;
+}
+
+void TracerouteSim::forwarding_path(Asn src_asn, const Ipv4Prefix& dst_prefix,
+                                    std::vector<Asn>& path) const {
+  path.clear();
   Asn current = src_asn;
   for (int ttl = 0; ttl < 64; ++ttl) {
     const BgpEngine::Selected* sel = engine_->best(current, dst_prefix);
-    if (sel == nullptr) return {};
-    if (visited[current]) return {};  // Forwarding loop: unusable path.
-    visited[current] = true;
+    // A dead end or a forwarding loop leaves no usable path. The path has
+    // at most 64 hops, so a linear search beats a per-call visited set.
+    if (sel == nullptr ||
+        std::find(path.begin(), path.end(), current) != path.end())
+      break;
     path.push_back(current);
-    if (sel->self_originated) return path;
+    if (sel->self_originated) return;
     current = sel->next_hop;
   }
-  return {};
+  path.clear();  // Unrouted, looping or out of hops.
 }
 
 }  // namespace irp

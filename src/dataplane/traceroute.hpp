@@ -54,6 +54,11 @@ class TracerouteSim {
   std::vector<Asn> forwarding_path(Asn src_asn,
                                    const Ipv4Prefix& dst_prefix) const;
 
+  /// The same path written into `path` (cleared first), so a caller that
+  /// walks many sources can reuse one buffer.
+  void forwarding_path(Asn src_asn, const Ipv4Prefix& dst_prefix,
+                       std::vector<Asn>& path) const;
+
  private:
   /// Router address of `asn` for a packet arriving over `via_link`.
   TracerouteHop ingress_hop(Asn asn, const Link& via_link) const;
