@@ -387,19 +387,29 @@ void print_per_type(const std::string& prefix,
   }
 }
 
-void print_service_stats(const OracleStatsView& stats) {
+/// The service's counters, with the cache numbers read from the catalog.
+void print_service_stats(const OracleStatsView& stats,
+                         const StudyCatalog& catalog) {
+  const StudyCatalog::CacheBudgetView budget = catalog.cache_budget();
+  ClassifyCache::Stats all;
+  for (const auto& per : budget.per_study) {
+    all.hits += per.stats.hits;
+    all.misses += per.stats.misses;
+  }
   std::printf("# served=%llu rejected=%llu unknown_study=%llu peak_queue=%zu "
               "cache_hit_rate=%.3f\n",
               static_cast<unsigned long long>(stats.served),
               static_cast<unsigned long long>(stats.rejected),
               static_cast<unsigned long long>(stats.unknown_study),
-              stats.peak_queue_depth, stats.cache.hit_rate());
+              stats.peak_queue_depth, all.hit_rate());
   print_per_type("", stats.per_type);
   if (stats.per_study.size() <= 1) return;
-  for (const auto& per : stats.per_study) {
-    print_requests("study " + per.name, per.requests);
-    std::printf(" cache_quota=%zu cache_hit_rate=%.3f\n", per.cache.capacity,
-                per.cache.hit_rate());
+  for (std::size_t i = 0; i < stats.per_study.size(); ++i) {
+    const ClassifyCache::Stats& cache = budget.per_study[i].stats;
+    print_requests("study " + stats.per_study[i].name,
+                   stats.per_study[i].requests);
+    std::printf(" cache_quota=%zu cache_hit_rate=%.3f\n", cache.capacity,
+                cache.hit_rate());
   }
 }
 
@@ -448,7 +458,7 @@ int serve_network(const StudyCatalog& catalog,
       static_cast<unsigned long long>(wire.bytes_in),
       static_cast<unsigned long long>(wire.bytes_out));
   print_per_type("wire ", wire.per_type);
-  print_service_stats(service.stats());
+  print_service_stats(service.stats(), catalog);
   return 0;
 }
 
@@ -521,7 +531,7 @@ int cmd_serve(int argc, char** argv) {
       all_answered &=
           print_answer<CheckError>([&] { return s.response.get(); });
   }
-  print_service_stats(service.stats());
+  print_service_stats(service.stats(), catalog);
   return all_answered ? 0 : 1;
 }
 

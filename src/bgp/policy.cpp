@@ -1,20 +1,9 @@
 #include "bgp/policy.hpp"
 
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace irp {
-namespace {
-
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
-}  // namespace
 
 GroundTruthPolicy::GroundTruthPolicy(const Topology* topo, PolicyConfig config)
     : topo_(topo), config_(config) {

@@ -24,14 +24,6 @@ class AddressPlan {
   /// Throws CheckError when the pool is exhausted.
   Ipv4Prefix allocate(int length);
 
-  /// Total addresses handed out so far.
-  std::uint64_t allocated_addresses() const { return cursor_; }
-
-  /// Addresses still available.
-  std::uint64_t remaining_addresses() const {
-    return pool_.size() - cursor_;
-  }
-
   const Ipv4Prefix& pool() const { return pool_; }
 
  private:

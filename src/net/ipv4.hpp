@@ -11,6 +11,8 @@
 #include <string>
 #include <string_view>
 
+#include "util/hash.hpp"
+
 namespace irp {
 
 /// An IPv4 address as a host-order 32-bit integer.
@@ -81,18 +83,12 @@ class Ipv4Prefix {
 };
 
 /// Hash functor for prefix-keyed unordered containers. Mixes the network
-/// address and length through a 64-bit finalizer so dense address plans
-/// (consecutive /24s differ only in a few middle bits) still spread evenly.
+/// address and length through mix64 so dense address plans (consecutive
+/// /24s differ only in a few middle bits) still spread evenly.
 struct Ipv4PrefixHash {
   std::size_t operator()(const Ipv4Prefix& p) const {
-    std::uint64_t x =
-        (std::uint64_t{p.network().value()} << 8) | std::uint64_t(p.length());
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    x *= 0xc4ceb9fe1a85ec53ULL;
-    x ^= x >> 33;
-    return static_cast<std::size_t>(x);
+    return static_cast<std::size_t>(mix64(
+        (std::uint64_t{p.network().value()} << 8) | std::uint64_t(p.length())));
   }
 };
 

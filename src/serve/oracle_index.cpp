@@ -1,22 +1,9 @@
 #include "serve/oracle_index.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace irp {
-namespace {
-
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
-}  // namespace
 
 std::uint8_t pack_scenario(const ScenarioOptions& opts) {
   return static_cast<std::uint8_t>((opts.use_hybrid ? 1 : 0) |
@@ -47,73 +34,54 @@ std::size_t ClassifyKeyHash::operator()(const ClassifyKey& k) const {
   return static_cast<std::size_t>(h);
 }
 
-void ClassifyCache::trim_locked(Shard& shard, std::size_t bound) {
-  while (shard.lru.size() > bound) {
-    shard.map.erase(shard.lru.back().first);
-    shard.lru.pop_back();
-    ++shard.evictions;
+void ClassifyCache::trim_locked() {
+  while (lru_.size() > capacity_) {
+    map_.erase(lru_.back().first);
+    lru_.pop_back();
+    ++evictions_;
   }
 }
 
 void ClassifyCache::set_capacity(std::size_t capacity) {
-  capacity_.store(capacity, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kShards; ++i) {
-    Shard& shard = shards_[i];
-    const std::size_t bound =
-        capacity / kShards + (i < capacity % kShards ? 1 : 0);
-    shard.bound.store(bound, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    trim_locked(shard, bound);
-  }
-}
-
-ClassifyCache::Shard& ClassifyCache::shard_for(const ClassifyKey& key) {
-  return shards_[ClassifyKeyHash{}(key) % kShards];
+  std::lock_guard<std::mutex> lock(mu_);
+  capacity_ = capacity;
+  trim_locked();
 }
 
 std::optional<DecisionCategory> ClassifyCache::get(const ClassifyKey& key) {
-  Shard& shard = shard_for(key);
-  if (shard.bound.load(std::memory_order_relaxed) == 0) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(key);
+  if (it == map_.end()) {
+    ++misses_;
     return std::nullopt;
   }
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  lru_.splice(lru_.begin(), lru_, it->second);
+  ++hits_;
   return it->second->second;
 }
 
 void ClassifyCache::put(const ClassifyKey& key, DecisionCategory value) {
-  Shard& shard = shard_for(key);
-  if (shard.bound.load(std::memory_order_relaxed) == 0) return;
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it != shard.map.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (capacity_ == 0) return;
+  auto it = map_.find(key);
+  if (it != map_.end()) {
     it->second->second = value;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  shard.lru.emplace_front(key, value);
-  shard.map.emplace(key, shard.lru.begin());
-  // Re-read under the lock: a concurrent set_capacity() may have lowered it.
-  trim_locked(shard, shard.bound.load(std::memory_order_relaxed));
+  lru_.emplace_front(key, value);
+  map_.emplace(key, lru_.begin());
+  trim_locked();
 }
 
 ClassifyCache::Stats ClassifyCache::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
   Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.capacity = capacity_.load(std::memory_order_relaxed);
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    s.entries += shard.map.size();
-    s.evictions += shard.evictions;
-  }
+  s.hits = hits_;
+  s.misses = misses_;
+  s.evictions = evictions_;
+  s.entries = map_.size();
+  s.capacity = capacity_;
   return s;
 }
 

@@ -10,16 +10,15 @@
 // concurrent queries need no locks on the index itself. StudyCatalog builds
 // one index per study and owns its cache quota.
 //
-// ClassifyCache is the one mutable piece: a bounded, sharded LRU over final
-// classification results. Shards are independently locked, so concurrent
-// classify queries only contend when they hash to the same shard; the
-// per-shard bounds sum to the capacity exactly and eviction is plain LRU.
-// Cached values are deterministic functions of the key, so the cache never
-// changes an answer — only its latency.
+// ClassifyCache is the one mutable piece: a bounded LRU over final
+// classification results, one list and one map under one mutex, so a quota
+// of N holds exactly the N most recently used keys. A miss computes outside
+// the lock (the classifier's warm path is lock-free). Cached values are
+// deterministic functions of the key, so the cache never changes an answer
+// — only its latency. Its counters are read through
+// StudyCatalog::cache_budget().
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -59,7 +58,8 @@ struct ClassifyKeyHash {
   std::size_t operator()(const ClassifyKey& k) const;
 };
 
-/// Bounded sharded LRU cache for classification results.
+/// Bounded LRU cache for classification results: one list and one map under
+/// one mutex.
 class ClassifyCache {
  public:
   struct Stats {
@@ -74,10 +74,6 @@ class ClassifyCache {
     }
   };
 
-  /// Lock-striping: concurrent classify queries only contend when their
-  /// keys hash to the same shard.
-  static constexpr std::size_t kShards = 8;
-
   /// Starts disabled (capacity 0); set_capacity() gives it a budget.
   ClassifyCache() = default;
 
@@ -88,36 +84,25 @@ class ClassifyCache {
   void put(const ClassifyKey& key, DecisionCategory value);
   Stats stats() const;
 
-  /// Re-budgets the cache in place: the total is split over the shards so
-  /// that their bounds sum to it exactly (the first capacity % kShards get
-  /// one entry more), and each shard's LRU tail is trimmed to its new bound.
-  /// Thread-safe against concurrent get/put; capacity 0 disables the cache
-  /// (and drops everything cached). StudyCatalog uses this to move quota
-  /// between studies sharing one budget.
+  /// Re-budgets the cache in place, evicting least recently used entries
+  /// down to the new capacity. Thread-safe against concurrent get/put;
+  /// capacity 0 disables the cache (and drops everything cached).
+  /// StudyCatalog uses this to move quota between studies sharing one
+  /// budget.
   void set_capacity(std::size_t capacity);
-  std::size_t capacity() const {
-    return capacity_.load(std::memory_order_relaxed);
-  }
 
  private:
-  struct Shard {
-    /// Entry bound; 0 makes every get on this shard miss without locking.
-    std::atomic<std::size_t> bound{0};
-    mutable std::mutex mu;
-    /// Front = most recently used.
-    std::list<std::pair<ClassifyKey, DecisionCategory>> lru;
-    std::unordered_map<ClassifyKey, decltype(lru)::iterator, ClassifyKeyHash>
-        map;
-    std::uint64_t evictions = 0;
-  };
+  void trim_locked();
 
-  Shard& shard_for(const ClassifyKey& key);
-  static void trim_locked(Shard& shard, std::size_t bound);
-
-  std::array<Shard, kShards> shards_;
-  std::atomic<std::size_t> capacity_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
+  mutable std::mutex mu_;
+  std::size_t capacity_ = 0;
+  /// Front = most recently used.
+  std::list<std::pair<ClassifyKey, DecisionCategory>> lru_;
+  std::unordered_map<ClassifyKey, decltype(lru_)::iterator, ClassifyKeyHash>
+      map_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
 };
 
 /// Read-only query index over one snapshot. Thread-safe after construction.

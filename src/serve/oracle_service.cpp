@@ -123,11 +123,16 @@ std::string to_text(const OracleResponse& response) {
 }
 
 void LatencyHistogram::record(std::uint64_t nanos) {
-  const int bucket =
-      nanos == 0
-          ? 0
-          : std::min(kBuckets - 1, static_cast<int>(std::bit_width(nanos)) - 1);
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  // Below 2^(kSubBits + 1) every value has its own bucket. A larger value
+  // with top bit e lands in one of 2^kSubBits equal slices of
+  // [2^e, 2^(e+1)), the one its next kSubBits bits name: with
+  // shift = e - kSubBits, index shift * 2^kSubBits + (nanos >> shift).
+  const int shift = std::max(0, static_cast<int>(std::bit_width(nanos)) - 1 -
+                                    kSubBits);
+  const std::uint64_t bucket =
+      (std::uint64_t(shift) << kSubBits) + (nanos >> shift);
+  buckets_[std::min<std::uint64_t>(bucket, kBuckets - 1)].fetch_add(
+      1, std::memory_order_relaxed);
 }
 
 std::uint64_t LatencyHistogram::count() const {
@@ -152,8 +157,11 @@ double LatencyHistogram::quantile_us(double q) const {
   for (int i = 0; i < kBuckets; ++i) {
     seen += buckets_[i].load(std::memory_order_relaxed);
     if (seen >= target) {
-      // Upper bound of bucket i is 2^(i+1) ns.
-      return double(std::uint64_t{1} << std::min(i + 1, 62)) / 1000.0;
+      // The largest value bucket i holds: inverts record()'s index.
+      const int shift = std::max(0, (i >> kSubBits) - 1);
+      const std::uint64_t mantissa =
+          std::uint64_t(i) - (std::uint64_t(shift) << kSubBits);
+      return double(((mantissa + 1) << shift) - 1) / 1000.0;
     }
   }
   return 0;
@@ -333,21 +341,9 @@ OracleStatsView OracleService::stats() const {
   view.unknown_study = unknown_study_.load(std::memory_order_relaxed);
 
   view.per_study.reserve(study_counters_.size());
-  for (std::size_t i = 0; i < study_counters_.size(); ++i) {
-    const StudyCatalog::Study& study = *catalog_->studies()[i];
+  for (std::size_t i = 0; i < study_counters_.size(); ++i)
     view.per_study.push_back(OracleStatsView::PerStudy{
-        study.name, study_counters_[i]->read(), study.index->cache_stats()});
-  }
-
-  // Aggregate across studies; the capacity reported is the shared budget,
-  // not the sum of the (rebalancing) per-study quotas.
-  for (const OracleStatsView::PerStudy& per : view.per_study) {
-    view.cache.hits += per.cache.hits;
-    view.cache.misses += per.cache.misses;
-    view.cache.evictions += per.cache.evictions;
-    view.cache.entries += per.cache.entries;
-  }
-  view.cache.capacity = catalog_->total_cache_capacity();
+        catalog_->studies()[i]->name, study_counters_[i]->read()});
   return view;
 }
 

@@ -31,7 +31,7 @@
 // catalog of one. Every answer is a pure function of the study's (immutable)
 // index, so responses are deterministic regardless of worker count,
 // interleaving, or cache state; timing-dependent values live only in
-// OracleStatsView.
+// OracleStatsView, and cache counters in StudyCatalog::cache_budget().
 //
 // Remote access: serve/oracle_server.hpp exposes this service over TCP via
 // the OracleWire protocol (serve/wire.hpp, spec in docs/PROTOCOL.md) with
@@ -143,18 +143,23 @@ std::string_view query_type_name(QueryType type);
 /// byte-comparison form of the determinism tests).
 std::string to_text(const OracleResponse& response);
 
-/// Lock-free power-of-two-bucketed latency histogram (nanosecond input).
+/// Lock-free log-linear latency histogram (nanosecond input): each power of
+/// two is split into 16 equal buckets, so a bucket's upper bound is at most
+/// 6.25% above any sample in it (values below 32 ns are exact).
 class LatencyHistogram {
  public:
   void record(std::uint64_t nanos);
   std::uint64_t count() const;
-  /// Approximate quantile in microseconds: the upper bound of the bucket
-  /// holding the nearest-rank sample, the ceil(q * n)-th smallest; 0 when
-  /// empty.
+  /// Approximate quantile in microseconds: the upper bound (largest value)
+  /// of the bucket holding the nearest-rank sample, the ceil(q * n)-th
+  /// smallest; 0 when empty. Never below that sample, and monotone in it.
   double quantile_us(double q) const;
 
  private:
-  static constexpr int kBuckets = 48;
+  static constexpr int kSubBits = 4;  ///< 2^4 = 16 buckets per power of two.
+  /// Exact buckets for [0, 32), then 16 per power of two up to 2^48 ns
+  /// (~3 days); larger samples count in the last bucket.
+  static constexpr int kBuckets = (48 - kSubBits + 1) << kSubBits;
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
 };
 
@@ -186,12 +191,12 @@ struct RequestCounters {
   RequestStats read() const;
 };
 
-/// Copyable stats snapshot; see OracleService::stats().
+/// Copyable stats snapshot; see OracleService::stats(). The classify-cache
+/// counters are catalog state: StudyCatalog::cache_budget().
 struct OracleStatsView {
   struct PerStudy {
     std::string name;
     RequestStats requests;
-    ClassifyCache::Stats cache;
   };
   std::array<RequestStats, kNumQueryTypes> per_type{};
   /// One entry per hosted study, in load order; [0] is the default study.
@@ -201,8 +206,6 @@ struct OracleStatsView {
   /// Submissions naming a study the service does not host.
   std::uint64_t unknown_study = 0;
   std::size_t peak_queue_depth = 0;
-  /// Aggregated over every study (capacity = the shared budget).
-  ClassifyCache::Stats cache;
 };
 
 /// Concurrent query server over a StudyCatalog (one shared admission queue

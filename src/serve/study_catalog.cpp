@@ -122,15 +122,9 @@ void StudyCatalog::rebalance_cache() const {
 
 StudyCatalog::CacheBudgetView StudyCatalog::cache_budget() const {
   CacheBudgetView view;
-  view.total_capacity = config_.total_cache_capacity;
   view.per_study.reserve(studies_.size());
-  for (const auto& study : studies_) {
-    CacheBudgetView::PerStudy per;
-    per.name = study->name;
-    per.stats = study->index->cache_stats();
-    per.quota = per.stats.capacity;
-    view.per_study.push_back(std::move(per));
-  }
+  for (const auto& study : studies_)
+    view.per_study.push_back({study->name, study->index->cache_stats()});
   return view;
 }
 

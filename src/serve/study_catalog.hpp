@@ -14,12 +14,14 @@
 //     every node and yields its arena id), and route entries get arena ids
 //     as they are parsed. Duplicate suffixes across studies collapse to one
 //     node, and no study keeps a table of its own.
-//   * One classify-cache budget. Each study's sharded LRU keeps its own
-//     lock structure (no cross-study contention), but the total entry
-//     budget is a catalog-level constant: quotas start as an even split and
+//   * One classify-cache budget. Each study keeps its own LRU under its own
+//     lock (no cross-study contention), but the total entry budget is a
+//     catalog-level constant: quotas start as an even split and
 //     rebalance_cache() re-weights them by observed per-study hit rates, so
 //     a hot epoch absorbs budget from cold ones without any study dropping
-//     below kMinStudyCacheQuota.
+//     below kMinStudyCacheQuota. cache_budget() is where the caches'
+//     numbers are read: each study's quota, hits, misses, evictions and
+//     entries.
 //
 // Identity: a study id is "<name>@<fnv1a64 of the snapshot image>" — the
 // operator-supplied name makes it addressable, the content checksum makes
@@ -36,8 +38,8 @@
 //
 // Thread safety: the catalog is immutable after the last study is added;
 // queries and rebalance_cache() may then run concurrently from any thread
-// (the only mutable state is inside each study's ClassifyCache, which
-// locks per shard).
+// (the only mutable state is inside each study's ClassifyCache, behind
+// its own mutex).
 #pragma once
 
 #include <cstdint>
@@ -151,13 +153,13 @@ class StudyCatalog {
     return config_.total_cache_capacity;
   }
 
+  /// Every study's classify-cache counters, in load order; a study's
+  /// current quota is its `stats.capacity`.
   struct CacheBudgetView {
     struct PerStudy {
       std::string name;
-      std::size_t quota = 0;
       ClassifyCache::Stats stats;
     };
-    std::size_t total_capacity = 0;
     std::vector<PerStudy> per_study;
   };
   CacheBudgetView cache_budget() const;

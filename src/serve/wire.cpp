@@ -239,10 +239,6 @@ bool is_response_frame(FrameType type) {
   return raw >= 0x10 && raw <= 0x13;
 }
 
-FrameType response_frame_type(QueryType type) {
-  return static_cast<FrameType>(static_cast<std::uint8_t>(type) | 0x10);
-}
-
 std::string_view frame_type_name(FrameType type) {
   switch (type) {
     case FrameType::kClassifyRequest: return "classify_request";

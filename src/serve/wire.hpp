@@ -88,8 +88,6 @@ enum class FrameType : std::uint8_t {
 
 bool is_request_frame(FrameType type);
 bool is_response_frame(FrameType type);
-/// The response FrameType answering a request of query type `type`.
-FrameType response_frame_type(QueryType type);
 std::string_view frame_type_name(FrameType type);
 
 /// Application-level error codes carried by kError frames.

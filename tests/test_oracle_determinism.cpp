@@ -182,8 +182,11 @@ TEST(OracleStats, HistogramAndCountersTrackServing) {
     }
   }
   EXPECT_EQ(per_type_sum, kN);
-  // The classify cache saw traffic and reports coherent counters.
-  const ClassifyCache::Stats cache = stats.cache;
+  // The classify cache saw traffic and reports coherent counters; they are
+  // read from the catalog, not copied into the service's view.
+  const auto budget = f.catalog->cache_budget();
+  ASSERT_EQ(budget.per_study.size(), 1u);
+  const ClassifyCache::Stats& cache = budget.per_study[0].stats;
   EXPECT_GT(cache.hits + cache.misses, 0u);
   EXPECT_LE(cache.entries, cache.capacity);
 }
@@ -209,20 +212,48 @@ TEST(OracleStats, ServiceLatencyExcludesQueueWait) {
 }
 
 TEST(OracleStats, HistogramQuantileUsesNearestRank) {
-  // Three samples in three power-of-two buckets, upper bounds 1.024 us,
-  // 8.192 us and 131.072 us.
+  // Three samples in three buckets whose largest values are 1.023 us
+  // ([992, 1023] ns), 5.119 us ([4864, 5119] ns) and 102.399 us
+  // ([98304, 102399] ns).
   LatencyHistogram h;
   for (std::uint64_t nanos : {1000u, 5000u, 100000u}) h.record(nanos);
-  EXPECT_DOUBLE_EQ(h.quantile_us(0.99), 131.072);  // ceil(2.97) = 3rd.
-  EXPECT_DOUBLE_EQ(h.quantile_us(0.5), 8.192);     // ceil(1.5) = 2nd.
-  EXPECT_DOUBLE_EQ(h.quantile_us(0.0), 1.024);
+  EXPECT_DOUBLE_EQ(h.quantile_us(0.99), 102.399);  // ceil(2.97) = 3rd.
+  EXPECT_DOUBLE_EQ(h.quantile_us(0.5), 5.119);     // ceil(1.5) = 2nd.
+  EXPECT_DOUBLE_EQ(h.quantile_us(0.0), 1.023);
 
   // An integral q * n stays exact: 0.07 * 100 is 7.000000000000001 in
   // doubles, and p7 of 7 low and 93 high samples is the 7th, a low one.
   LatencyHistogram h100;
   for (int i = 0; i < 100; ++i) h100.record(i < 7 ? 1000 : 100000);
-  EXPECT_DOUBLE_EQ(h100.quantile_us(0.07), 1.024);
-  EXPECT_DOUBLE_EQ(h100.quantile_us(0.08), 131.072);
+  EXPECT_DOUBLE_EQ(h100.quantile_us(0.07), 1.023);
+  EXPECT_DOUBLE_EQ(h100.quantile_us(0.08), 102.399);
+}
+
+TEST(OracleStats, HistogramTellsOnePointOneMsFromTwoMs) {
+  // Both latencies share one power of two, [2^20, 2^21) ns; the log-linear
+  // buckets still read them apart, each at most 6.25% above its true value.
+  const double true_us[2] = {1100, 2000};
+  double p50_us[2];
+  for (int i = 0; i < 2; ++i) {
+    LatencyHistogram h;
+    for (int n = 0; n < 10; ++n) h.record(std::uint64_t(true_us[i] * 1000));
+    p50_us[i] = h.quantile_us(0.5);
+    EXPECT_GE(p50_us[i], true_us[i]);
+    EXPECT_LE(p50_us[i], true_us[i] * 1.0625);
+  }
+  EXPECT_LT(p50_us[0], p50_us[1]);
+
+  // Every sample reads back at or above itself, by at most 6.25%, and
+  // exactly below 32 ns.
+  for (std::uint64_t nanos = 0; nanos < (std::uint64_t{1} << 40);
+       nanos = nanos * 5 / 4 + 1) {
+    LatencyHistogram one;
+    one.record(nanos);
+    const double read_ns = one.quantile_us(0.5) * 1000.0;
+    EXPECT_GE(read_ns, double(nanos) * (1 - 1e-12)) << nanos;
+    EXPECT_LE(read_ns, double(nanos) * 1.0625 + 1e-9) << nanos;
+    if (nanos < 32) EXPECT_DOUBLE_EQ(read_ns, double(nanos)) << nanos;
+  }
 }
 
 }  // namespace

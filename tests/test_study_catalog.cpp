@@ -10,9 +10,9 @@
 // (answer/submit/wire); the shared classify-cache budget is enforced and
 // rebalances toward hot studies; the shared path arena deduplicates
 // identical studies; and the whole stack is exercised under concurrent
-// multi-study load (the TSan target for this subsystem). ClassifyCache's
-// per-shard bounds sum to its quota exactly, so a study never holds more
-// entries than its quota.
+// multi-study load (the TSan target for this subsystem). ClassifyCache
+// with a quota of N holds exactly the N most recently used keys, so a study
+// never holds more entries than its quota.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -325,13 +325,12 @@ TEST(StudyCatalog, CacheBudgetIsSharedAndEnforced) {
 
   // On load every study gets an even split of the budget.
   StudyCatalog::CacheBudgetView budget = catalog->cache_budget();
-  EXPECT_EQ(budget.total_capacity, 240u);
   EXPECT_EQ(catalog->total_cache_capacity(), 240u);
   ASSERT_EQ(budget.per_study.size(), 3u);
   std::size_t total_quota = 0;
   for (const auto& per : budget.per_study) {
-    EXPECT_EQ(per.quota, 80u);
-    total_quota += per.quota;
+    EXPECT_EQ(per.stats.capacity, 80u);
+    total_quota += per.stats.capacity;
   }
   EXPECT_LE(total_quota, config.total_cache_capacity);
 
@@ -356,21 +355,20 @@ TEST(StudyCatalog, CacheBudgetIsSharedAndEnforced) {
   budget = catalog->cache_budget();
   total_quota = 0;
   for (const auto& per : budget.per_study) {
-    EXPECT_GE(per.quota, StudyCatalog::kMinStudyCacheQuota) << per.name;
-    total_quota += per.quota;
+    EXPECT_GE(per.stats.capacity, StudyCatalog::kMinStudyCacheQuota)
+        << per.name;
+    total_quota += per.stats.capacity;
   }
   EXPECT_LE(total_quota, config.total_cache_capacity);
-  EXPECT_GT(budget.per_study[0].quota, budget.per_study[1].quota);
-  EXPECT_GT(budget.per_study[0].quota, budget.per_study[2].quota);
-
-  // The service's aggregate view reports the shared budget as capacity.
-  const OracleStatsView stats = service.stats();
-  EXPECT_EQ(stats.cache.capacity, config.total_cache_capacity);
+  EXPECT_GT(budget.per_study[0].stats.capacity,
+            budget.per_study[1].stats.capacity);
+  EXPECT_GT(budget.per_study[0].stats.capacity,
+            budget.per_study[2].stats.capacity);
 }
 
 TEST(StudyCatalog, SmallBudgetHoldsEveryStudyToItsQuota) {
-  // Two studies on a 10-entry budget get quotas of 5 over 8 cache shards;
-  // neither may hold more than its 5 entries however many keys it sees.
+  // Two studies on a 10-entry budget get quotas of 5; neither may hold more
+  // than its 5 entries however many keys it sees.
   StudyCatalogConfig config;
   config.total_cache_capacity = 10;
   StudyCatalog catalog(config);
@@ -383,8 +381,8 @@ TEST(StudyCatalog, SmallBudgetHoldsEveryStudyToItsQuota) {
 
   std::size_t entries = 0;
   for (const auto& per : catalog.cache_budget().per_study) {
-    EXPECT_EQ(per.quota, 5u) << per.name;
-    EXPECT_LE(per.stats.entries, per.quota) << per.name;
+    EXPECT_EQ(per.stats.capacity, 5u) << per.name;
+    EXPECT_LE(per.stats.entries, per.stats.capacity) << per.name;
     entries += per.stats.entries;
   }
   EXPECT_LE(entries, config.total_cache_capacity);
@@ -398,27 +396,48 @@ ClassifyKey numbered_key(std::uint32_t i) {
   return key;
 }
 
-TEST(ClassifyCache, ShardBoundsSumToTheCapacity) {
+TEST(ClassifyCache, HoldsItsCapacityAndEvictsTheLeastRecentlyUsed) {
   // A study's cache starts at capacity 0 and the catalog then sets its
-  // quota; the 8 shard bounds must add up to that quota, not round each
-  // shard up to 1 (over-filling small quotas) or down (2730 holding only
-  // 2728).
-  for (const std::size_t capacity : {1, 4, 7, 8, 9, 2730}) {
+  // quota; a quota of N must hold the N most recently used keys exactly.
+  for (const std::size_t capacity : {1, 4, 5, 7, 8, 9, 64, 2730}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    const auto n = static_cast<std::uint32_t>(capacity);
     ClassifyCache cache;
     cache.set_capacity(capacity);
-    // At least 10x the capacity, and enough that every shard sees keys.
+
+    // N distinct keys all stay cached.
+    for (std::uint32_t i = 0; i < n; ++i)
+      cache.put(numbered_key(i), DecisionCategory::kBestShort);
+    std::size_t hits = 0;
+    for (std::uint32_t i = 0; i < n; ++i)
+      hits += cache.get(numbered_key(i)).has_value();
+    EXPECT_EQ(hits, capacity);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+
+    // Touch key 0 again, so with N > 1 key 1 is the least recently used;
+    // one more put evicts exactly that key.
+    ASSERT_TRUE(cache.get(numbered_key(0)).has_value());
+    const std::uint32_t lru = n > 1 ? 1 : 0;
+    cache.put(numbered_key(n), DecisionCategory::kBestLong);
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_FALSE(cache.get(numbered_key(lru)).has_value());
+    for (std::uint32_t i = 0; i <= n; ++i)
+      if (i != lru)
+        EXPECT_TRUE(cache.get(numbered_key(i)).has_value()) << "key " << i;
+
+    // Far more keys than the capacity: it stays full, never over.
     const std::size_t keys = std::max<std::size_t>(10 * capacity, 1000);
     for (std::size_t i = 0; i < keys; ++i)
       cache.put(numbered_key(static_cast<std::uint32_t>(i)),
                 DecisionCategory::kBestShort);
     ClassifyCache::Stats stats = cache.stats();
     EXPECT_EQ(stats.capacity, capacity);
-    EXPECT_EQ(stats.entries, capacity) << "capacity " << capacity;
+    EXPECT_EQ(stats.entries, capacity);
 
     cache.set_capacity(capacity / 2);
     stats = cache.stats();
     EXPECT_EQ(stats.capacity, capacity / 2);
-    EXPECT_LE(stats.entries, capacity / 2) << "capacity " << capacity;
+    EXPECT_EQ(stats.entries, capacity / 2);
   }
 }
 

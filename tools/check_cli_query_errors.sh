@@ -5,9 +5,12 @@
 # `error: ...` in the bad query's slot, and exit 1. A snapshot that cannot
 # be loaded (a truncated file, a directory, a missing path) must fail the
 # run the same way: exit 1 and an `error:` line naming the reason, never an
-# abort. Last, the drain lines: a `serve --listen 0` that answered one
-# `query --connect` and then got SIGTERM must print the `# wire:` and
-# `# served=` counters that irp-bench parses (irp-bench/cpp/server_process.cpp).
+# abort. A two-study `serve --queries` must print its cache numbers (read
+# from the catalog): `cache_hit_rate` on the `# served=` line, and
+# `cache_quota` and `cache_hit_rate` on each `#   study NAME:` line. Last,
+# the drain lines: a `serve --listen 0` that answered one `query --connect`
+# and then got SIGTERM must print the `# wire:` and `# served=` counters
+# that irp-bench parses (irp-bench/cpp/server_process.cpp).
 #
 # Registered as the `cli_query_errors_check` ctest; takes the run_study_cli
 # binary as $1. Builds one default-scale snapshot (a few seconds).
@@ -61,6 +64,27 @@ check "query" "$bin" query --snapshot "$work/study.bin" \
 check "serve --queries" "$bin" serve --snapshot "$work/study.bin" \
   --queries "$work/queries.txt"
 
+# $1: the file, $2: a stats line's prefix, then the keys that line must
+# carry.
+line_keys() {
+  file="$1"
+  prefix="$2"
+  shift 2
+  line=$(grep "^$prefix" "$file")
+  [ -n "$line" ] || fail "no '$prefix' line in $(basename "$file")"
+  for key in "$@"; do
+    echo "$line" | grep -q " $key=[0-9]" ||
+      fail "'$prefix' line in $(basename "$file") lacks $key"
+  done
+}
+
+check "serve --queries, two studies" "$bin" serve \
+  --snapshot "a=$work/study.bin" --snapshot "b=$work/study.bin" \
+  --queries "$work/queries.txt"
+line_keys "$work/out.txt" "# served=" cache_hit_rate
+line_keys "$work/out.txt" "#   study a:" cache_quota cache_hit_rate
+line_keys "$work/out.txt" "#   study b:" cache_quota cache_hit_rate
+
 # $1: description, $2: the --snapshot path, $3: the reason the error line
 # must name.
 bad_snapshot() {
@@ -77,18 +101,6 @@ mkdir "$work/directory.bin"
 bad_snapshot "truncated" "$work/truncated.bin" "truncated image"
 bad_snapshot "directory" "$work/directory.bin" "not a regular file"
 bad_snapshot "missing" "$work/missing.bin" "cannot open file for reading"
-
-# $1: the drain line's prefix, then the keys it must carry.
-drain_keys() {
-  prefix="$1"
-  shift
-  line=$(grep "^$prefix" "$work/serve.txt")
-  [ -n "$line" ] || fail "drain: no '$prefix' line"
-  for key in "$@"; do
-    echo "$line" | grep -q " $key=[0-9]" ||
-      fail "drain: '$prefix' line lacks $key"
-  done
-}
 
 "$bin" serve --snapshot "$work/study.bin" --listen 0 >"$work/serve.txt" 2>&1 &
 server=$!
@@ -111,12 +123,13 @@ else
   kill -TERM "$server"
   wait "$server" || fail "drain: serve exited $? after SIGTERM"
   server=""
-  drain_keys "# wire:" frames_in shed bytes_in bytes_out decode_errors
-  drain_keys "# served=" peak_queue
+  line_keys "$work/serve.txt" "# wire:" frames_in shed bytes_in bytes_out \
+    decode_errors
+  line_keys "$work/serve.txt" "# served=" peak_queue
   frames=$(sed -n 's/^# wire:.* frames_in=\([0-9]*\).*/\1/p' "$work/serve.txt")
   [ "${frames:-0}" -ge 1 ] || fail "drain: frames_in=${frames:-none}, expected >= 1"
 fi
 
 [ "$status" -eq 0 ] &&
-  echo "cli-query-errors-check: ok (2 modes, 3 unloadable snapshots, drain lines)"
+  echo "cli-query-errors-check: ok (3 runs, 3 unloadable snapshots, stats and drain lines)"
 exit "$status"
