@@ -395,22 +395,17 @@ std::vector<FeedEntry> BgpEngine::feed(std::span<const Asn> peers) const {
   std::vector<FeedEntry> out;
   // Upper bound; prefixes unreachable from a peer are the exception.
   out.reserve(states_.size() * peers.size());
-  for (const auto& stp : states_) {
-    for (Asn peer : peers) {
-      const auto& sel = stp->per_as[peer - 1].selected;
-      if (!sel.has_value()) continue;
-      FeedEntry e;
-      e.peer = peer;
-      e.prefix = stp->prefix;
-      // Materialize "peer prepended" directly into the entry: one exact-size
-      // allocation, no intermediate AsPath copy.
-      e.path.hops.reserve(table_.num_hops(sel->path_id) + 1);
-      e.path.hops.push_back(peer);
-      table_.append_hops(sel->path_id, e.path.hops);
-      e.path.poison_set = table_.poison_set(sel->path_id);
-      out.push_back(std::move(e));
-    }
-  }
+  visit_feed(peers, [&](Asn peer, const Ipv4Prefix& prefix, PathId path) {
+    FeedEntry& e = out.emplace_back();
+    e.peer = peer;
+    e.prefix = prefix;
+    // Materialize "peer prepended" directly into the entry: one exact-size
+    // allocation, no intermediate AsPath copy.
+    e.path.hops.reserve(table_.num_hops(path) + 1);
+    e.path.hops.push_back(peer);
+    table_.append_hops(path, e.path.hops);
+    e.path.poison_set = table_.poison_set(path);
+  });
   return out;
 }
 

@@ -67,10 +67,10 @@ class BgpEngine {
 
  public:
   /// Recycles per-prefix engine state (the O(num_ases) per-AS vectors)
-  /// across short-lived engines over the same topology — build_corpus spawns
-  /// one engine per (epoch, batch) job, and without pooling every job
-  /// re-mallocs the full O(num_ases · batch) state. Thread-safe; engines on
-  /// different pool threads may share one StatePool.
+  /// across short-lived engines over the same topology — the passive study
+  /// spawns one engine per (epoch, batch) corpus job, and without pooling
+  /// every job re-mallocs the full O(num_ases · batch) state. Thread-safe;
+  /// engines on different pool threads may share one StatePool.
   class StatePool {
    public:
     StatePool();
@@ -185,8 +185,22 @@ class BgpEngine {
   std::optional<Asn> forward_next_hop(Asn asn, const Ipv4Prefix& prefix) const;
 
   /// Current best routes of the given collector peers, over all prefixes —
-  /// a RouteViews/RIS-style table dump.
+  /// a RouteViews/RIS-style table dump, materialized from visit_feed().
   std::vector<FeedEntry> feed(std::span<const Asn> peers) const;
+
+  /// The same dump without materializing it: calls `fn(peer, prefix, path)`
+  /// for every prefix (in announcement order) and every peer in `peers`
+  /// (in that order) that selected a route, where `path` is the selected
+  /// path in paths(), excluding the peer. The collector sees `peer`
+  /// prepended to it.
+  template <typename Fn>
+  void visit_feed(std::span<const Asn> peers, Fn&& fn) const {
+    for (const auto& stp : states_)
+      for (Asn peer : peers) {
+        const auto& sel = stp->per_as[peer - 1].selected;
+        if (sel.has_value()) fn(peer, stp->prefix, sel->path_id);
+      }
+  }
 
   /// All prefixes ever announced.
   std::vector<Ipv4Prefix> prefixes() const;

@@ -13,19 +13,22 @@
 //      sibling inference, and collect the per-prefix BGP observations the
 //      PSP criteria need.
 //
-// On a pool these overlap: steps 1 and 2 run in one loop; each earlier
-// epoch's path set and inference run as soon as that epoch's last corpus
-// job lands; the measurement epoch's set and inference, which also need
-// the measurement feed, run beside steps 3-4 (DESIGN.md §6). The campaign
-// splits after the probe sample (begin_passive_study) so that a caller may
-// run other work that needs only the converged system and the probes
-// beside the rest (finish_passive_study).
+// On a pool these overlap (DESIGN.md §6). All random draws (the probe
+// sample and the hostname shuffle) come first. Then one loop runs step 2
+// and the measurement feed beside every corpus convergence of step 1, and
+// beside one caller-supplied task; each earlier epoch's path set and
+// inference run as soon as that epoch's last corpus job lands. A second
+// loop runs the measurement epoch's set and inference, which also need the
+// measurement feed, beside steps 3-4 in fixed chunks of probes.
+// begin_passive_study is the draws and the first loop; finish_passive_study
+// is the second loop and the aggregated products.
 //
 // Everything downstream (Figure 1, 2, 3, Tables 3, 4) consumes the returned
 // PassiveDataset, which contains only analyst-observable artifacts plus the
 // live engine handle for the active experiments.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -62,9 +65,9 @@ struct PassiveStudyConfig {
   /// measurement-epoch convergence beside its corpus convergences on it,
   /// each epoch's corpus assembly and inference as soon as that epoch's
   /// jobs are done, and the measurement epoch's inference beside the
-  /// traceroutes; run_full_study also runs the active experiments' BGP
-  /// simulation beside the campaign's second half, and the classifier
-  /// precompute, the extended model and each analysis, on the same pool.
+  /// traceroute chunks; run_full_study also runs the active experiments'
+  /// BGP simulation beside the convergences, and the classifier precompute,
+  /// the extended model and each analysis, on the same pool.
   /// All randomness stays in the serial orchestration, so any thread count
   /// produces byte-identical results; 1 (the default) is the classic
   /// serial path.
@@ -114,21 +117,28 @@ PassiveDataset run_passive_study(const GeneratedInternet& net,
                                  ThreadPool& pool);
 
 /// What the first half of the campaign hands its second half besides the
-/// dataset: each epoch's corpus part, the shuffled hostname list and the
-/// campaign's random stream.
+/// dataset: each epoch's path set, the shuffled hostname list, the
+/// campaign's random stream, and the corpus jobs' recycled engine states,
+/// which the second half frees beside the traceroutes instead of on the
+/// calling thread.
 struct PassiveCampaign {
-  std::vector<PathCorpus> parts;  ///< Per epoch, ascending.
+  std::vector<PathSet> parts;  ///< Per epoch, ascending.
   std::vector<std::string> hostnames;
   Rng rng;
+  std::unique_ptr<BgpEngine::StatePool> state_pool;
 };
 
-/// Steps 1-2 into `ds` and the random draws of step 3: the convergence
-/// loop, the measurement feed, the probe sample and the hostname shuffle. Afterwards ds.policy, ds.engine,
-/// ds.measurement_feed and ds.probes are final, and finish_passive_study
-/// writes none of them, so they may be read while it runs.
+/// The random draws of step 3 (the probe sample, then the hostname
+/// shuffle), then steps 1-2 into `ds` in one convergence loop, with
+/// `beside` (if set) as one more index of that loop. Afterwards ds.policy,
+/// ds.engine, ds.measurement_feed and ds.probes are final, and
+/// finish_passive_study writes none of them. `beside` may read ds.policy
+/// and ds.probes; it runs on any thread, concurrently with the
+/// convergences.
 PassiveCampaign begin_passive_study(const GeneratedInternet& net,
                                     const PassiveStudyConfig& config,
-                                    ThreadPool& pool, PassiveDataset& ds);
+                                    ThreadPool& pool, PassiveDataset& ds,
+                                    const std::function<void()>& beside = {});
 
 /// The rest of steps 3-5 into `ds`: traceroutes and decisions beside the
 /// measurement epoch's inference, then the aggregated inference products.

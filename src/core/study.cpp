@@ -27,45 +27,43 @@ StudyResults run_full_study(const StudyConfig& config) {
   PassiveDataset& ds = results.passive;
   ThreadPool pool{config.passive.parallel.threads};
 
-  PassiveCampaign campaign = begin_passive_study(net, config.passive, pool, ds);
-
-  // Two branches over the products of the campaign's first half. Index 0,
-  // on this thread: the active chain's BGP half (vantage selection and the
-  // discovery simulation), which reads only the Internet, the ground-truth
-  // policy and the probe sample. Index 1: the rest of the campaign, the
-  // classifier precompute, then the extended model and each analysis as an
-  // index of its own; they only read the finished dataset and the warmed
-  // classifier, and each writes its own report fields.
+  // The active chain's BGP half (vantage selection and the discovery
+  // simulation) reads only the Internet, the ground-truth policy and the
+  // probe sample, so it runs as one more index of the campaign's
+  // convergence loop.
   std::vector<Asn> vantages;
   DiscoverySimulation discovery;
-  pool.parallel_for(0, 2, [&](std::size_t branch) {
-    if (branch == 0) {
-      if (!config.run_active) return;
+  std::function<void()> active_bgp;
+  if (config.run_active)
+    active_bgp = [&] {
       vantages = select_active_vantages(net, ds, config.active);
-      discovery = ActiveExperiment::simulate_discovery(net, *ds.policy,
-                                                       vantages, config.active);
-      return;
+      discovery = ActiveExperiment::simulate_discovery(
+          net, *ds.policy, vantages, config.active);
+    };
+  PassiveCampaign campaign =
+      begin_passive_study(net, config.passive, pool, ds, active_bgp);
+  finish_passive_study(net, config.passive, pool, std::move(campaign), ds);
+
+  // The classifier precompute, then the extended model and each analysis
+  // as an index of its own; they only read the finished dataset and the
+  // warmed classifier, and each writes its own report fields.
+  const DecisionClassifier classifier = make_classifier(ds);
+  // Warm the GR path-set cache in parallel; every analysis below then hits
+  // the cache. A no-op for results — purely a wall-clock optimization.
+  classifier.precompute(ds.decisions, pool);
+  pool.parallel_for(0, 8, [&](std::size_t analysis) {
+    switch (analysis) {
+      case 0:
+        results.extended = compute_extended_model(ds, net, classifier, pool);
+        break;
+      case 1: results.figure1 = compute_figure1(ds, classifier); break;
+      case 2: results.skew = compute_skew(ds, net, classifier); break;
+      case 3: results.figure3 = compute_figure3(ds, net, classifier); break;
+      case 4: results.table3 = compute_table3(ds, net, classifier); break;
+      case 5: results.table4 = compute_table4(ds, net, classifier); break;
+      case 6: results.psp = validate_psp(ds, net, classifier); break;
+      case 7: results.table1 = compute_table1(ds, net); break;
     }
-    finish_passive_study(net, config.passive, pool, std::move(campaign), ds);
-    const DecisionClassifier classifier = make_classifier(ds);
-    // Warm the GR path-set cache in parallel; every analysis below then
-    // hits the cache. A no-op for results — purely a wall-clock
-    // optimization.
-    classifier.precompute(ds.decisions, pool);
-    pool.parallel_for(0, 8, [&](std::size_t analysis) {
-      switch (analysis) {
-        case 0:
-          results.extended = compute_extended_model(ds, net, classifier, pool);
-          break;
-        case 1: results.figure1 = compute_figure1(ds, classifier); break;
-        case 2: results.skew = compute_skew(ds, net, classifier); break;
-        case 3: results.figure3 = compute_figure3(ds, net, classifier); break;
-        case 4: results.table3 = compute_table3(ds, net, classifier); break;
-        case 5: results.table4 = compute_table4(ds, net, classifier); break;
-        case 6: results.psp = validate_psp(ds, net, classifier); break;
-        case 7: results.table1 = compute_table1(ds, net); break;
-      }
-    });
   });
 
   // The active chain's inference half: score the discovery against the

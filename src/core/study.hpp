@@ -47,12 +47,12 @@ struct StudyResults {
 
 /// Runs the whole study (generation, passive campaign, all analyses, and —
 /// unless disabled — the active experiments) on one ThreadPool sized by
-/// `config.passive.parallel`: begin_passive_study; then vantage selection
-/// and the discovery simulation beside finish_passive_study, the
-/// classifier precompute and the extended model and every analysis (each
-/// an index of its own); then the discovery evaluation and the magnet
-/// experiment. Results are byte-identical at any thread count; threads = 1
-/// runs every phase inline, in that order.
+/// `config.passive.parallel`: begin_passive_study, with vantage selection
+/// and the discovery simulation as one index of its convergence loop; then
+/// finish_passive_study; the classifier precompute; the extended model and
+/// every analysis (each an index of its own); then the discovery
+/// evaluation and the magnet experiment. Results are byte-identical at any
+/// thread count; threads = 1 runs every phase inline, in that order.
 StudyResults run_full_study(const StudyConfig& config);
 
 }  // namespace irp

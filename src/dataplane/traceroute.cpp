@@ -48,12 +48,19 @@ std::optional<Traceroute> TracerouteSim::run(
   tr.dst_prefix = dst_prefix;
 
   Asn current = src_asn;
-  std::vector<bool> visited(topo_->num_ases() + 1, false);
-  visited[current] = true;
   // Destination-based forwarding cannot loop in a converged BGP state, but
   // path-dependent policies (e.g. domestic preference) can oscillate and
   // leave transiently inconsistent state — real traceroutes observe such
-  // loops too. The traceroute simply fails to reach the destination.
+  // loops too. The traceroute simply fails to reach the destination. The
+  // ASes visited so far are the source and the hops' ASes (at most 64), so
+  // a linear search of tr.hops beats a per-call visited set.
+  auto visited = [&](Asn asn) {
+    return asn == src_asn ||
+           std::any_of(tr.hops.begin(), tr.hops.end(),
+                       [asn](const TracerouteHop& h) {
+                         return h.truth_asn == asn;
+                       });
+  };
   for (int ttl = 0; ttl < 64; ++ttl) {
     const BgpEngine::Selected* sel = engine_->best(current, dst_prefix);
     if (sel == nullptr) {
@@ -68,8 +75,7 @@ std::optional<Traceroute> TracerouteSim::run(
     }
     const Link& link = topo_->link(sel->via_link);
     const Asn next = sel->next_hop;
-    if (visited[next]) return tr;  // Forwarding loop: probe expires.
-    visited[next] = true;
+    if (visited(next)) return tr;  // Forwarding loop: probe expires.
     tr.hops.push_back(ingress_hop(next, link));
     current = next;
   }

@@ -3,17 +3,72 @@
 #include <algorithm>
 
 #include "util/check.hpp"
+#include "util/dense_index.hpp"
+#include "util/hash.hpp"
 
 namespace irp {
 namespace {
 
-std::pair<Asn, Asn> unordered(Asn a, Asn b) {
-  return a < b ? std::pair{a, b} : std::pair{b, a};
-}
-
 void insert_sorted(std::vector<Asn>& list, Asn asn) {
   list.insert(std::lower_bound(list.begin(), list.end(), asn), asn);
 }
+
+/// Every distinct adjacency of a path set, keyed (smaller ASN << 32 |
+/// larger ASN) and sorted ascending, plus the link each path edge crosses.
+struct LinkIndex {
+  std::vector<std::uint64_t> keys;  ///< Ascending.
+  /// Per edge, paths in set order and edges front to back: index into keys.
+  std::vector<std::uint32_t> edge_link;
+  /// Per link: bit 0 when its smaller ASN relays traffic over it somewhere
+  /// (an interior hop next to the larger), bit 1 the same for the larger.
+  std::vector<std::uint8_t> transit;
+
+  static std::uint64_t key(Asn a, Asn b) {
+    return a < b ? std::uint64_t{a} << 32 | b : std::uint64_t{b} << 32 | a;
+  }
+
+  explicit LinkIndex(const PathSet& paths) {
+    // Dedup through a hash index, then sort and renumber.
+    DenseIndex index;
+    auto hash_of = [&](std::uint32_t link) { return mix64(keys[link]); };
+    edge_link.reserve(paths.num_hops() - paths.size());
+    for (const std::span<const Asn> path : paths)
+      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        const Asn u = path[i], v = path[i + 1];
+        const std::uint64_t k = key(u, v);
+        const std::uint64_t hash = mix64(k);
+        std::uint32_t link =
+            index.find(hash, [&](std::uint32_t l) { return keys[l] == k; });
+        if (link == DenseIndex::kAbsent) {
+          keys.push_back(k);
+          transit.push_back(0);
+          link = index.insert(hash, hash_of);
+        }
+        edge_link.push_back(link);
+        // u relays at position i unless it is the first hop; v relays at
+        // i + 1 unless it is the last.
+        if (i >= 1) transit[link] |= u < v ? 1 : 2;
+        if (i + 2 < path.size()) transit[link] |= v < u ? 1 : 2;
+      }
+
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> sorted(keys.size());
+    for (std::uint32_t l = 0; l < sorted.size(); ++l) sorted[l] = {keys[l], l};
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<std::uint32_t> rank(keys.size());
+    std::vector<std::uint8_t> sorted_transit(keys.size());
+    for (std::uint32_t r = 0; r < sorted.size(); ++r) {
+      keys[r] = sorted[r].first;
+      rank[sorted[r].second] = r;
+      sorted_transit[r] = transit[sorted[r].second];
+    }
+    for (std::uint32_t& link : edge_link) link = rank[link];
+    transit.swap(sorted_transit);
+  }
+
+  bool contains(Asn a, Asn b) const {
+    return std::binary_search(keys.begin(), keys.end(), key(a, b));
+  }
+};
 
 }  // namespace
 
@@ -58,40 +113,34 @@ const std::vector<Asn>& InferredTopology::neighbors(Asn asn) const {
   return it == adj_.end() ? kEmpty : it->second;
 }
 
-std::map<Asn, std::size_t> transit_degrees(
-    const std::set<std::vector<Asn>>& paths) {
-  std::map<Asn, std::set<Asn>> transit_neighbors;
-  for (const auto& path : paths) {
-    for (std::size_t i = 1; i + 1 < path.size(); ++i) {
-      transit_neighbors[path[i]].insert(path[i - 1]);
-      transit_neighbors[path[i]].insert(path[i + 1]);
-    }
-  }
-  std::map<Asn, std::size_t> out;
-  for (const auto& [asn, nbrs] : transit_neighbors) out[asn] = nbrs.size();
-  return out;
-}
-
-InferredTopology infer_snapshot(const std::set<std::vector<Asn>>& paths,
+InferredTopology infer_snapshot(const PathSet& paths,
                                 const InferenceConfig& config,
                                 std::set<Asn>* clique_out) {
-  const auto degrees = transit_degrees(paths);
-  auto degree_of = [&](Asn asn) -> std::size_t {
-    auto it = degrees.find(asn);
-    return it == degrees.end() ? 0 : it->second;
-  };
+  const LinkIndex links{paths};
+  const std::size_t num_links = links.keys.size();
+  auto low = [&](std::size_t l) { return Asn(links.keys[l] >> 32); };
+  auto high = [&](std::size_t l) { return Asn(links.keys[l] & 0xFFFFFFFFu); };
+
+  // Transit degree: distinct neighbors of an AS over the positions where it
+  // relays traffic (not an endpoint). Global (neighbor) degree: distinct
+  // neighbors anywhere. Both are per-ASN arrays.
+  const std::size_t num_slots = std::size_t(paths.max_asn()) + 1;
+  std::vector<std::uint32_t> degree(num_slots, 0);
+  std::vector<std::uint32_t> global_degree(num_slots, 0);
+  for (std::size_t l = 0; l < num_links; ++l) {
+    ++global_degree[low(l)];
+    ++global_degree[high(l)];
+    if (links.transit[l] & 1) ++degree[low(l)];
+    if (links.transit[l] & 2) ++degree[high(l)];
+  }
 
   // --- Clique detection (Luckie-style): consider the top ASes by transit
   // degree and greedily grow a set that is fully meshed in the observed
   // adjacencies — the Tier-1 core peers with everyone in the core, while
   // regional heavyweights do not.
-  std::set<std::pair<Asn, Asn>> adjacency;
-  for (const auto& path : paths)
-    for (std::size_t i = 0; i + 1 < path.size(); ++i)
-      adjacency.insert(unordered(path[i], path[i + 1]));
-
   std::vector<std::pair<std::size_t, Asn>> ranked;
-  for (const auto& [asn, deg] : degrees) ranked.push_back({deg, asn});
+  for (std::size_t asn = 0; asn < num_slots; ++asn)
+    if (degree[asn] > 0) ranked.push_back({degree[asn], Asn(asn)});
   std::sort(ranked.begin(), ranked.end(), std::greater<>());
   if (ranked.size() > 3 * std::size_t(config.max_clique_size))
     ranked.resize(3 * std::size_t(config.max_clique_size));
@@ -105,9 +154,8 @@ InferredTopology infer_snapshot(const std::set<std::vector<Asn>>& paths,
   std::vector<std::vector<bool>> adj(n, std::vector<bool>(n, false));
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = i + 1; j < n; ++j)
-      if (adjacency.count(unordered(candidates[i], candidates[j])))
+      if (links.contains(candidates[i], candidates[j]))
         adj[i][j] = adj[j][i] = true;
-
   std::vector<std::size_t> best_clique;
   std::vector<std::size_t> current;
   // Iterative budget guard: the candidate set is tiny (<=72), but keep a
@@ -155,27 +203,20 @@ InferredTopology infer_snapshot(const std::set<std::vector<Asn>>& paths,
   for (std::size_t i = 0; i < n; ++i) all[i] = i;
   bron_kerbosch(bron_kerbosch, std::move(all), {});
 
-  std::set<Asn> clique;
-  for (std::size_t i : best_clique) clique.insert(candidates[i]);
-  if (clique.size() < 3) clique.clear();  // No meaningful core found.
-  if (clique_out != nullptr) *clique_out = clique;
+  if (best_clique.size() < 3) best_clique.clear();  // No meaningful core.
+  std::vector<char> in_clique(num_slots, 0);
+  for (std::size_t i : best_clique) in_clique[candidates[i]] = 1;
+  if (clique_out != nullptr) {
+    clique_out->clear();
+    for (std::size_t i : best_clique) clique_out->insert(candidates[i]);
+  }
 
-  // Global (neighbor) degree: used for peer-comparability. Transit degree
-  // ranks transit power (apex detection), but a content network with zero
-  // transit degree and hundreds of neighbors is still a peering heavyweight.
-  std::map<Asn, std::set<Asn>> neighbor_sets;
-  for (const auto& path : paths)
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      neighbor_sets[path[i]].insert(path[i + 1]);
-      neighbor_sets[path[i + 1]].insert(path[i]);
-    }
-  auto global_degree_of = [&](Asn asn) -> std::size_t {
-    auto it = neighbor_sets.find(asn);
-    return it == neighbor_sets.end() ? 0 : it->second.size();
-  };
+  // Global degree decides peer-comparability. Transit degree ranks transit
+  // power (apex detection), but a content network with zero transit degree
+  // and hundreds of neighbors is still a peering heavyweight.
   auto comparable = [&](Asn a, Asn b) {
-    const double da = double(global_degree_of(a)) + 1.0;
-    const double db = double(global_degree_of(b)) + 1.0;
+    const double da = double(global_degree[a]) + 1.0;
+    const double db = double(global_degree[b]) + 1.0;
     const double ratio = da > db ? da / db : db / da;
     return ratio < config.peer_degree_ratio;
   };
@@ -184,22 +225,25 @@ InferredTopology infer_snapshot(const std::set<std::vector<Asn>>& paths,
   // A valley-free path has at most one flat (peer) edge, at the top; the
   // apex-adjacent edge whose endpoints have comparable degrees is voted
   // peer, everything else is voted customer-to-provider toward the apex.
-  std::map<std::pair<Asn, Asn>, std::size_t> c2p_votes;  // (customer, provider)
-  std::map<std::pair<Asn, Asn>, std::size_t> peer_votes;  // Unordered key.
-  std::set<std::pair<Asn, Asn>> seen_links;
-  for (const auto& path : paths) {
+  // Per link: c2p votes with the smaller ASN as customer, with the larger
+  // as customer, and peer votes.
+  std::vector<std::uint32_t> low_buys(num_links, 0);
+  std::vector<std::uint32_t> high_buys(num_links, 0);
+  std::vector<std::uint32_t> peer_votes(num_links, 0);
+  const std::uint32_t* edge = links.edge_link.data();
+  for (const std::span<const Asn> path : paths) {
     // Apex: a clique member when the path crosses the core (clique members
     // have no providers, so the path cannot rise above them); otherwise the
     // AS with the highest transit degree.
     std::size_t apex = 0;
     bool apex_in_clique = false;
     for (std::size_t i = 0; i < path.size(); ++i) {
-      const bool in_clique = clique.count(path[i]) > 0;
-      if (in_clique && !apex_in_clique) {
+      const bool clique_hop = in_clique[path[i]] != 0;
+      if (clique_hop && !apex_in_clique) {
         apex = i;
         apex_in_clique = true;
-      } else if (in_clique == apex_in_clique &&
-                 degree_of(path[i]) > degree_of(path[apex])) {
+      } else if (clique_hop == apex_in_clique &&
+                 degree[path[i]] > degree[path[apex]]) {
         apex = i;
       }
     }
@@ -215,23 +259,25 @@ InferredTopology infer_snapshot(const std::set<std::vector<Asn>>& paths,
     else if (right_ok)
       flat_edge = apex;
 
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      seen_links.insert(unordered(path[i], path[i + 1]));
-      if (i == flat_edge) {
-        ++peer_votes[unordered(path[i], path[i + 1])];
-      } else if (i + 1 <= apex) {
-        ++c2p_votes[{path[i], path[i + 1]}];  // Uphill: left buys from right.
-      } else {
-        ++c2p_votes[{path[i + 1], path[i]}];  // Downhill.
-      }
+    for (std::size_t i = 0; i + 1 < path.size(); ++i, ++edge) {
+      // Uphill the left hop buys from the right one; downhill the reverse.
+      const Asn customer = i + 1 <= apex ? path[i] : path[i + 1];
+      const Asn provider = i + 1 <= apex ? path[i + 1] : path[i];
+      if (i == flat_edge)
+        ++peer_votes[*edge];
+      else if (customer < provider)
+        ++low_buys[*edge];
+      else
+        ++high_buys[*edge];
     }
   }
 
-  // --- Settle each observed link.
+  // --- Settle each observed link, in ascending (a, b) order.
   InferredTopology out;
-  for (const auto& [a, b] : seen_links) {
-    const bool a_clique = clique.count(a) > 0;
-    const bool b_clique = clique.count(b) > 0;
+  for (std::size_t l = 0; l < num_links; ++l) {
+    const Asn a = low(l), b = high(l);
+    const bool a_clique = in_clique[a] != 0;
+    const bool b_clique = in_clique[b] != 0;
     if (a_clique && b_clique) {
       out.set(a, b, InferredRel::kPeer);
       continue;
@@ -246,13 +292,9 @@ InferredTopology infer_snapshot(const std::set<std::vector<Asn>>& paths,
       out.set(a, b, InferredRel::kBProviderOfA);
       continue;
     }
-    auto votes_of = [](const auto& map, std::pair<Asn, Asn> key) {
-      auto it = map.find(key);
-      return it == map.end() ? std::size_t{0} : it->second;
-    };
-    const double ab = double(votes_of(c2p_votes, {a, b}));  // a buys from b.
-    const double ba = double(votes_of(c2p_votes, {b, a}));
-    const double pp = double(votes_of(peer_votes, {a, b}));
+    const double ab = double(low_buys[l]);  // a buys from b.
+    const double ba = double(high_buys[l]);
+    const double pp = double(peer_votes[l]);
 
     if (pp > std::max(ab, ba)) {
       out.set(a, b, InferredRel::kPeer);
@@ -263,12 +305,11 @@ InferredTopology infer_snapshot(const std::set<std::vector<Asn>>& paths,
     } else if (comparable(a, b)) {
       // Conflicting evidence between comparable ASes: call it peering.
       out.set(a, b, InferredRel::kPeer);
-    } else if (degree_of(a) > degree_of(b)) {
+    } else if (degree[a] > degree[b]) {
       out.set(a, b, InferredRel::kAProviderOfB);
     } else {
       out.set(a, b, InferredRel::kBProviderOfA);
     }
-
   }
   return out;
 }

@@ -4,6 +4,11 @@
 // transit degrees from observed paths, detect the Tier-1 clique, walk each
 // path over its apex voting customer-to-provider on the uphill and downhill
 // segments, and settle remaining comparable-degree links as peer-to-peer.
+// It runs on flat arrays over one epoch's PathSet: per-ASN degree arrays
+// (sized by the set's largest ASN), one array of the distinct link keys
+// (deduplicated through a hash table, then sorted), the link each path edge
+// crosses, and per-link vote counters. Links settle in ascending (a, b)
+// order, and nothing depends on the order of the paths in the set.
 //
 // Aggregation follows §3.3 of the paper exactly: five monthly snapshots are
 // merged by weighted majority with higher weight for recent months, and if
@@ -73,7 +78,7 @@ struct InferenceConfig {
 
 /// Infers relationships from one snapshot's paths. When `clique_out` is
 /// non-null the detected Tier-1 clique is reported (diagnostics/tests).
-InferredTopology infer_snapshot(const std::set<std::vector<Asn>>& paths,
+InferredTopology infer_snapshot(const PathSet& paths,
                                 const InferenceConfig& config = {},
                                 std::set<Asn>* clique_out = nullptr);
 
@@ -82,10 +87,5 @@ InferredTopology infer_snapshot(const std::set<std::vector<Asn>>& paths,
 /// parallel to `snapshots`.
 InferredTopology aggregate_snapshots(
     const std::vector<InferredTopology>& snapshots);
-
-/// Transit degree of every AS in a path set: number of distinct neighbors
-/// in positions where the AS relays traffic (not an endpoint).
-std::map<Asn, std::size_t> transit_degrees(
-    const std::set<std::vector<Asn>>& paths);
 
 }  // namespace irp

@@ -1,12 +1,12 @@
 // A fixed-size worker pool and deterministic parallel loops.
 //
 // This is the parallelism layer of a study: run_full_study builds one pool
-// and runs every phase on it — the measurement-epoch convergence beside
-// the per-batch corpus convergences and each epoch's corpus assembly and
-// relationship inference; then the active experiments' BGP simulation
-// beside the rest of the passive campaign, the GR path-set precompute and
-// the extended model and analyses, whose own loops nest inside. Three
-// rules keep parallel runs
+// and runs every phase on it — the measurement-epoch convergence and the
+// active experiments' BGP simulation beside the per-batch corpus
+// convergences and each epoch's corpus assembly and relationship
+// inference; then the measurement epoch's inference beside the traceroute
+// chunks; then the GR path-set precompute, and the extended model and
+// analyses, whose own loops nest inside. Three rules keep parallel runs
 // byte-identical to serial runs:
 //   * Work is *claimed* dynamically (atomic index counter) but results are
 //     always *consumed* in input order — parallel_map returns outputs at

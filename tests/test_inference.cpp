@@ -11,55 +11,107 @@
 #include "inference/hybrid_dataset.hpp"
 #include "inference/path_corpus.hpp"
 #include "inference/relationships.hpp"
+#include "inference/serialize.hpp"
 #include "inference/siblings.hpp"
+#include "serve/byte_io.hpp"
 #include "test_support.hpp"
 
 namespace irp {
 namespace {
 
-TEST(PathCorpus, DeduplicatesAndCollapses) {
-  PathCorpus corpus;
-  corpus.add(0, {1, 1, 2, 3});
-  corpus.add(0, {1, 2, 3});
-  corpus.add(0, {4});     // Too short: dropped.
-  corpus.add(0, {5, 5});  // Collapses to one hop: dropped.
-  EXPECT_EQ(corpus.paths(0).size(), 1u);
-  EXPECT_EQ(corpus.total_paths(), 1u);
-  const auto adj = corpus.adjacencies(0);
-  EXPECT_EQ(adj.size(), 2u);
-  EXPECT_TRUE(adj.count({1, 2}));
-  EXPECT_TRUE(adj.count({2, 3}));
+/// The paths of a set, in insertion order.
+std::vector<std::vector<Asn>> paths_of(const PathSet& set) {
+  std::vector<std::vector<Asn>> out;
+  for (const std::span<const Asn> path : set)
+    out.emplace_back(path.begin(), path.end());
+  return out;
 }
 
-TEST(PathCorpus, SkipsPoisonedFeeds) {
-  PathCorpus corpus;
+using Paths = std::vector<std::vector<Asn>>;
+
+TEST(PathSet, DeduplicatesAndCollapsesPrepending) {
+  PathSet set;
+  EXPECT_TRUE(set.add(std::vector<Asn>{1, 1, 2, 3, 3, 3}));
+  EXPECT_FALSE(set.add(std::vector<Asn>{1, 2, 3}));
+  EXPECT_FALSE(set.add(std::vector<Asn>{1, 2, 2, 3}));
+  EXPECT_TRUE(set.add(std::vector<Asn>{1, 2}));  // A prefix is its own path.
+  EXPECT_EQ(paths_of(set), (Paths{{1, 2, 3}, {1, 2}}));
+  EXPECT_EQ(set.num_hops(), 5u);
+  EXPECT_EQ(set.max_asn(), 3u);
+}
+
+TEST(PathSet, DropsPathsShorterThanTwoHops) {
+  PathSet set;
+  EXPECT_FALSE(set.add(std::vector<Asn>{}));
+  EXPECT_FALSE(set.add(std::vector<Asn>{4}));
+  EXPECT_FALSE(set.add(std::vector<Asn>{5, 5}));  // Collapses to one hop.
+  EXPECT_TRUE(set.empty());
+  EXPECT_EQ(set.num_hops(), 0u);  // Dropped hops leave nothing behind.
+  EXPECT_TRUE(set.add(std::vector<Asn>{6, 7}));
+  EXPECT_EQ(paths_of(set), (Paths{{6, 7}}));
+}
+
+TEST(PathSet, SkipsPoisonedPaths) {
+  PathSet set;
   FeedEntry poisoned;
   poisoned.peer = 1;
   poisoned.path.hops = {1, 2};
   poisoned.path.poison_set = {9};
+  EXPECT_FALSE(set.add_feed(poisoned));
+
+  // The engine-side form: peer 1 prepended to an interned path.
+  PathTable table;
+  const PathId poisoned_id = table.prepend(table.root(std::vector<Asn>{9}), 2);
+  EXPECT_FALSE(set.add_feed(1, table, poisoned_id));
+  EXPECT_TRUE(set.empty());
+
+  const PathId clean_id = table.prepend(table.prepend(kEmptyPathId, 3), 2);
+  EXPECT_TRUE(set.add_feed(1, table, clean_id));
+  FeedEntry clean = poisoned;
+  clean.path.hops = {1, 2, 3};
+  clean.path.poison_set.clear();
+  EXPECT_FALSE(set.add_feed(clean));  // The same path as the engine's.
+  EXPECT_EQ(paths_of(set), (Paths{{1, 2, 3}}));
+
+  // A corpus keeps no epoch for paths it skipped.
+  PathCorpus corpus;
   corpus.add_feed(0, poisoned);
   EXPECT_EQ(corpus.total_paths(), 0u);
-
-  FeedEntry clean = poisoned;
-  clean.path.poison_set.clear();
   corpus.add_feed(1, clean);
   EXPECT_EQ(corpus.paths(1).size(), 1u);
   EXPECT_EQ(corpus.epochs(), std::vector<int>{1});
+  EXPECT_TRUE(corpus.paths(7).empty());
 }
 
-TEST(PathCorpus, MergeEqualsAddingEverythingToOneCorpus) {
-  PathCorpus whole, left, right;
-  for (const auto& [epoch, path] :
-       std::vector<std::pair<int, std::vector<Asn>>>{
-           {0, {1, 2, 3}}, {0, {4, 2}}, {1, {1, 2}}, {2, {5, 6, 7}}}) {
-    whole.add(epoch, path);
-    (path.front() % 2 ? left : right).add(epoch, path);
-  }
-  left.add(0, {4, 2});  // Present on both sides.
-  left.merge(std::move(right));
-  EXPECT_EQ(left.epochs(), whole.epochs());
-  for (int epoch : whole.epochs())
-    EXPECT_EQ(left.paths(epoch), whole.paths(epoch)) << "epoch " << epoch;
+TEST(PathSet, KeepsFirstInsertionOrderAcrossMerges) {
+  const Paths stream{{3, 4}, {1, 2}, {2, 5}, {1, 2}, {9, 8}, {3, 4}, {7, 6}};
+  PathSet whole;
+  for (const auto& path : stream) whole.add(path);
+  EXPECT_EQ(paths_of(whole), (Paths{{3, 4}, {1, 2}, {2, 5}, {9, 8}, {7, 6}}));
+
+  // Split the stream into consecutive parts and merge them in order: the
+  // result equals adding the whole stream to one set, order included.
+  PathSet merged, first, second;
+  for (std::size_t i = 0; i < stream.size(); ++i)
+    (i < 3 ? first : second).add(stream[i]);
+  merged.merge(std::move(first));
+  merged.merge(std::move(second));
+  EXPECT_TRUE(first.empty());
+  EXPECT_TRUE(second.empty());
+  EXPECT_EQ(paths_of(merged), paths_of(whole));
+  EXPECT_EQ(merged.num_hops(), whole.num_hops());
+  EXPECT_FALSE(merged.add(std::vector<Asn>{2, 5}));
+}
+
+TEST(PathSet, GrowsWithTheDistinctPaths) {
+  PathSet set;
+  for (Asn i = 1; i <= 20000; ++i)
+    ASSERT_TRUE(set.add(std::vector<Asn>{i, i + 1, 30000 + i % 7}));
+  for (Asn i = 1; i <= 20000; ++i)
+    ASSERT_FALSE(set.add(std::vector<Asn>{i, i + 1, i + 1, 30000 + i % 7}));
+  EXPECT_EQ(set.size(), 20000u);
+  EXPECT_EQ(set.max_asn(), 30006u);
+  EXPECT_EQ(paths_of(set)[12344], (std::vector<Asn>{12345, 12346, 30004}));
 }
 
 TEST(InferredTopology, OrientationIsPerspectiveCorrect) {
@@ -117,10 +169,10 @@ TEST(InferredTopology, ConcurrentNeighborReadersOnAFreshTopology) {
 TEST(Inference, SimpleChainInfersTransit) {
   // Star-free chain: collector at 1 sees paths through a hierarchy where 2
   // transits for many, so 2 is the apex.
-  std::set<std::vector<Asn>> paths;
+  PathSet paths;
   for (Asn leaf = 10; leaf < 30; ++leaf) {
-    paths.insert({1, 2, leaf});
-    paths.insert({leaf, 2, 1});
+    paths.add(std::vector<Asn>{1, 2, leaf});
+    paths.add(std::vector<Asn>{leaf, 2, 1});
   }
   const auto topo = infer_snapshot(paths);
   for (Asn leaf = 10; leaf < 30; ++leaf)
@@ -130,11 +182,11 @@ TEST(Inference, SimpleChainInfersTransit) {
 
 TEST(Inference, PeerAtApexWithComparableDegrees) {
   // Two regional hubs exchange their customer cones: hub links are flat.
-  std::set<std::vector<Asn>> paths;
+  PathSet paths;
   for (Asn a = 10; a < 25; ++a)
     for (Asn b = 30; b < 45; ++b) {
-      paths.insert({a, 2, 3, b});
-      paths.insert({b, 3, 2, a});
+      paths.add(std::vector<Asn>{a, 2, 3, b});
+      paths.add(std::vector<Asn>{b, 3, 2, a});
     }
   const auto topo = infer_snapshot(paths);
   EXPECT_EQ(topo.relationship(2, 3), Relationship::kPeer);
@@ -144,7 +196,7 @@ TEST(Inference, PeerAtApexWithComparableDegrees) {
 
 TEST(Inference, CliqueDetectedAndFullyMeshed) {
   // A 4-clique (1..4) with distinct customer trees; paths cross the core.
-  std::set<std::vector<Asn>> paths;
+  PathSet paths;
   const auto customers_of = [](Asn t) {
     return std::vector<Asn>{t * 10, t * 10 + 1, t * 10 + 2};
   };
@@ -152,7 +204,8 @@ TEST(Inference, CliqueDetectedAndFullyMeshed) {
     for (Asn t2 = 1; t2 <= 4; ++t2) {
       if (t1 == t2) continue;
       for (Asn c1 : customers_of(t1))
-        for (Asn c2 : customers_of(t2)) paths.insert({c1, t1, t2, c2});
+        for (Asn c2 : customers_of(t2))
+          paths.add(std::vector<Asn>{c1, t1, t2, c2});
     }
   std::set<Asn> clique;
   const auto topo = infer_snapshot(paths, {}, &clique);
@@ -304,6 +357,23 @@ TEST(Inference, EndToEndAccuracyBound) {
   ASSERT_GT(comparable, 100u);
   EXPECT_GT(double(correct) / double(comparable), 0.80)
       << correct << "/" << comparable;
+}
+
+/// FNV-1a digests of to_caida_format for every epoch snapshot and for the
+/// §3.3 aggregation of the fixture's small passive study. They were taken
+/// from the std::map/std::set implementation of the corpus and of
+/// infer_snapshot, so they pin the flat rewrite to it byte for byte.
+TEST(Inference, SmallStudyMatchesGoldenDigests) {
+  const auto net = generate_internet(test::small_generator_config());
+  const auto ds = run_passive_study(*net, test::small_passive_config());
+  const std::vector<std::uint64_t> snapshots{
+      0xd9fd22f71ac393f3ULL, 0x6d06b16aad4b9f8dULL, 0xd1c9fca61e80fe87ULL,
+      0xb1b7d21b2d6dbc3eULL, 0xf2dd45dfcebcbeaeULL};
+  ASSERT_EQ(ds.snapshots.size(), snapshots.size());
+  for (std::size_t e = 0; e < snapshots.size(); ++e)
+    EXPECT_EQ(fnv1a64(to_caida_format(ds.snapshots[e])), snapshots[e])
+        << "epoch " << e;
+  EXPECT_EQ(fnv1a64(to_caida_format(ds.inferred)), 0x4622d5501338232bULL);
 }
 
 }  // namespace

@@ -38,12 +38,17 @@ std::string dump_decisions(const PassiveDataset& ds) {
   return out.str();
 }
 
-/// Full text dump of the corpus: every epoch, every path.
+/// Full text dump of the corpus: every epoch, every path, paths in
+/// lexicographic order.
 std::string dump_corpus(const PathCorpus& corpus) {
   std::ostringstream out;
   for (int epoch : corpus.epochs()) {
     out << "epoch " << epoch << '\n';
-    for (const std::vector<Asn>& path : corpus.paths(epoch)) {
+    std::vector<std::vector<Asn>> paths;
+    for (const std::span<const Asn> path : corpus.paths(epoch))
+      paths.emplace_back(path.begin(), path.end());
+    std::sort(paths.begin(), paths.end());
+    for (const std::vector<Asn>& path : paths) {
       for (Asn asn : path) out << asn << ' ';
       out << '\n';
     }
